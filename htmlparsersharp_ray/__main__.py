@@ -143,7 +143,9 @@ def main(argv=None):
     p_ext.add_argument("--output", required=True)
     p_ext.add_argument("--n-buckets", type=int, default=64)
     p_ext.add_argument("--salt-cap", type=int, default=10_000)
-    p_ext.add_argument("--concurrency", type=int, default=None)
+    p_ext.add_argument("--concurrency", type=int, default=None,
+                       help="at most N parse tasks at once (default: Ray "
+                            "Data sizes the stage)")
     p_ext.add_argument("--batch-size", type=int, default=512)
     p_ext.add_argument("--no-resume", action="store_true")
     p_ext.add_argument("--format", default="parquet",
@@ -212,14 +214,12 @@ def main(argv=None):
     try:
         from .pipelines.extract_pipeline import run_extract_pipeline
 
-        ncpu = args.num_cpus or os.cpu_count()
-        concurrency = args.concurrency or max(1, ncpu - max(1, ncpu // 6))
         manifest = run_extract_pipeline(
             args.input,
             args.output,
             n_buckets=args.n_buckets,
             salt_cap=args.salt_cap,
-            concurrency=concurrency,
+            concurrency=args.concurrency,
             batch_size=args.batch_size,
             resume=not args.no_resume,
             input_format=args.format,

@@ -5,24 +5,26 @@ Boundary map (SURVEY.md §3.4):
     read_parquet(transcripts, columns=[conv_id, turn_idx, text])  # pruned read
       └─ add salted bucket column (cheap, fused)                  # tasks
       └─ [resume] drop rows of completed buckets                  # pruned BEFORE parse
-      └─ map_batches(HtmlExtractUDF, pyarrow, actor pool)         # the parse stage
+      └─ map_batches(_extract_carry_bucket, pyarrow, tasks)       # the parse stage
       └─ map_batches(PartialWriter)                               # per-bucket partial files
-      └─ finalize: one task per bucket — sort + atomic write      # the explicit exchange
+      └─ finalize: ≤ one task per CPU — per bucket sort + write   # the explicit exchange
       └─ manifest dataset (one row per bucket)                    # small result
 
 Shuffle design: the bucket exchange is an EXPLICIT disk-backed shuffle —
 each parse-side writer batch becomes ONE bucket-sorted parquet file whose
 row groups align with bucket boundaries plus a sidecar JSON index
 (map-side-merged shuffle files; names content-keyed so task retries
-overwrite rather than duplicate), then one finalize task per bucket reads
-only its row groups, sorts by (conv_id, turn_idx), and writes the final
-file atomically with a lineage record. Partial dirs are RUN-SCOPED and
-wiped before phase A, so a crashed run can never leak rows into a later
-finalize. Compared to ``groupby(bucket)`` (Ray's sort-based all-to-all,
-measured 13s of a 14s run at sf0.1) this removes the global sort; each
-phase is embarrassingly parallel and each finalize task's memory is
-bounded by one bucket. On a multi-node cluster the partial/final dirs
-live on the shared filesystem/object store the job already writes to.
+overwrite rather than duplicate), then the finalize tasks (the touched
+buckets packed into at most one task per cluster CPU) read each bucket's
+row groups, sort them by (conv_id, turn_idx), and write the bucket's
+final file atomically with a lineage record. Partial dirs are RUN-SCOPED
+and wiped before phase A, so a crashed run can never leak rows into a
+later finalize. Compared to ``groupby(bucket)`` (Ray's sort-based
+all-to-all, measured 13s of a 14s run at sf0.1) this removes the global
+sort; each phase is embarrassingly parallel and a finalize task's memory
+is bounded by one bucket at a time. On a multi-node cluster the
+partial/final dirs live on the shared filesystem/object store the job
+already writes to.
 
 Skew handling per north_rule: bucket = crc32(conv_id, turn_idx // salt_cap)
 % n_buckets — conversations shorter than ``salt_cap`` land in exactly one
@@ -103,12 +105,19 @@ class AddBucket:
         return out
 
 
-class _CarryBucketExtract(HtmlExtractUDF):
-    """Parse stage that carries the bucket column through."""
+def _extract_carry_bucket(batch: pa.Table) -> pa.Table:
+    """Parse stage that carries the bucket column through. A plain
+    function, so Ray Data runs it as tasks on its reused worker
+    processes: the parser's tables are built once per process at
+    import, and ``HtmlExtractUDF`` itself holds only two scalars."""
+    out = HtmlExtractUDF()(batch.drop_columns(["bucket"]))
+    return out.append_column("bucket", batch.column("bucket"))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = super().__call__(batch.drop_columns(["bucket"]))
-        return out.append_column("bucket", batch.column("bucket"))
+
+def _task_cap(concurrency):
+    """Cap on concurrent parse tasks: an int as given, a ``(min, max)``
+    pool-size tuple as its max, None to let Ray Data size the stage."""
+    return concurrency[1] if isinstance(concurrency, tuple) else concurrency
 
 
 def _partial_dir(out_dir: str, run_id: str) -> str:
@@ -202,8 +211,9 @@ def _md5_join_strings(col: pa.ChunkedArray) -> str:
 
 
 def _finalize_bucket(out_dir: str, run_id: str):
-    """One task per bucket: read the bucket's row groups from the shuffle
-    files, sort, write final atomically, record lineage."""
+    """Finalize every bucket of the batch: load the shuffle indexes once,
+    then per bucket read its row groups, sort, write final atomically,
+    record lineage."""
 
     def fn(batch: pa.Table) -> pa.Table:
         import json
@@ -315,10 +325,10 @@ def run_extract_pipeline(
         batch_format="pyarrow",
     )
     ds = ds.map_batches(
-        _CarryBucketExtract,
+        _extract_carry_bucket,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=_task_cap(concurrency),
     )
     # phase A: parse + map-side-merged shuffle files (no Ray shuffle)
     partials = ds.map_batches(
@@ -328,10 +338,13 @@ def run_extract_pipeline(
     if not touched:
         shutil.rmtree(os.path.join(out_dir, "_partial"), ignore_errors=True)
         return pd.DataFrame({"bucket": [], "rows": [], "text_md5": []})
-    # phase B: finalize buckets in parallel (one light task per bucket)
+    # phase B: finalize buckets in parallel, packed into at most one
+    # task per cluster CPU (a task per bucket pays Ray's per-task cost
+    # and reloads the shuffle indexes for each small bucket)
+    n_tasks = min(len(touched), max(1, int(ray.cluster_resources().get("CPU", 1))))
     fin = ray.data.from_arrow(
         pa.table({"bucket": pa.array(touched, pa.int32())})
-    ).repartition(len(touched)).map_batches(
+    ).repartition(n_tasks).map_batches(
         _finalize_bucket(out_dir, run_id), batch_format="pyarrow"
     )
     result = fin.to_pandas()
@@ -344,10 +357,10 @@ def extract_dataset(input_dir: str, concurrency=None, batch_size: int = 256):
     and for the driver's entry() smoke check."""
     ds = ray.data.read_parquet(input_dir, columns=READ_COLUMNS)
     return ds.map_batches(
-        HtmlExtractUDF,
+        HtmlExtractUDF(),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=_task_cap(concurrency),
     )
 
 

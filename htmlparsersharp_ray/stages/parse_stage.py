@@ -2,12 +2,11 @@
 
 This is the engine's core operator (SURVEY.md §2.2-2.3 fused): each row's
 ``text`` is run through the HTML5 tokenizer+tree-builder and the
-boilerplate extractor. It is a callable CLASS so `map_batches` runs it as
-an actor pool — module-level tables (entities, element flags) are built
-once per worker process at import, and per-actor state (compiled regexes,
-reusable buffers) lives in ``__init__``, mirroring the reference's
-parser-instance reuse (reference: SimpleHtmlParser.cs:75-91 Reset;
-Tokenizer.cs:1087-1101 newAttributesEachTime=false).
+boilerplate extractor. An instance holds only two scalars (the input
+cap and the scripting flag), so the flagship runs it as stateless Ray
+Data tasks: the module-level tables (entities, element flags) are built
+once per worker process at import, and Ray reuses its worker processes
+from task to task, so no actor is needed to keep them warm.
 
 Batch format is pyarrow end-to-end: zero-copy in, columnar out.
 Parsing is inherently sequential per document, so the per-row loop here is
@@ -28,7 +27,7 @@ from ..extract.boilerplate import extract_main_content
 # missing item 1) no longer clips real pages. The cap itself remains as
 # the HEAP guard the chunked feed cannot provide: the feed bounds
 # tokenizer intermediates, but the DOM of a hostile multi-GB turn would
-# still materialize in one actor (SURVEY §7.4.7), so truncation —
+# still materialize in one worker (SURVEY §7.4.7), so truncation —
 # recorded in metrics — is the correct degradation there. Pass None to
 # disable entirely.
 DEFAULT_MAX_TEXT_CHARS = 64_000_000
@@ -73,8 +72,9 @@ EXTRACTED_SCHEMA = pa.schema(
 
 
 class HtmlExtractUDF:
-    """map_batches(HtmlExtractUDF, batch_format="pyarrow",
-    concurrency=N, batch_size=B) — the actor-pool parse stage."""
+    """``HtmlExtractUDF()(batch)`` — the parse stage; an instance is a
+    plain callable, so ``map_batches(HtmlExtractUDF(), ...)`` runs it as
+    tasks."""
 
     def __init__(self, max_text_chars: int = DEFAULT_MAX_TEXT_CHARS,
                  scripting: bool = False):

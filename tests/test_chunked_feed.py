@@ -18,28 +18,19 @@ import pytest
 from htmlparsersharp_ray.html import parse, serialize_tree
 from htmlparsersharp_ray.html.feed import FeedParser, parse_chunked
 
+from .conftest import load_dat_fixtures
+
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _cases():
-    """(input, ) pairs from every .dat fixture file (document cases
-    only — fragment context cases exercise parse_fragment, which the
-    feed does not wrap)."""
-    out = []
-    for path in sorted(glob.glob(os.path.join(FIXDIR, "*.dat"))):
-        with open(path, encoding="utf-8") as f:
-            body = f.read()
-        for block in body.split("\n\n#data\n"):
-            if block.startswith("#data\n"):
-                block = block[len("#data\n"):]
-            data, sep, rest = block.partition("\n#errors")
-            if not sep:
-                continue
-            if "#document-fragment" in rest:
-                continue
-            out.append(bytes(data, "utf-8").decode("unicode_escape")
-                       if "\\x" in data else data)
-    return out
+    """Inputs of every .dat fixture case, the upstream subset included
+    (document cases only — fragment context cases exercise
+    parse_fragment, which the feed does not wrap)."""
+    return [case["data"]
+            for path in sorted(glob.glob(os.path.join(FIXDIR, "*.dat")))
+            for case in load_dat_fixtures(path)
+            if case["fragment"] is None]
 
 
 _ALL = _cases()

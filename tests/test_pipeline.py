@@ -58,20 +58,46 @@ def test_per_bucket_ordering(ray_session, transcripts_dir, tmp_path):
         assert keys == sorted(keys), f"bucket file {f} not sorted"
 
 
+def _lineage_manifest(out_dir):
+    """bucket → (rows, text_md5) from the lineage records."""
+    manifest = {}
+    for f in glob.glob(os.path.join(out_dir, "_lineage", "bucket-*.json")):
+        with open(f) as fh:
+            m = json.load(fh)
+        manifest[m["bucket"]] = (m["rows"], m["text_md5"])
+    return manifest
+
+
 def test_shuffle_invariance_across_parallelism(ray_session, transcripts_dir, tmp_path):
     """Same input at different concurrency/batch sizing → identical
-    per-bucket content hashes (north_rule determinism)."""
+    per-bucket content hashes (north_rule determinism). ``concurrency``
+    covers every accepted form: None (Ray Data sizes the parse stage),
+    an int task cap, and a ``(min, max)`` tuple read as its max."""
     hashes = []
-    for i, (conc, bs) in enumerate([(1, 32), (2, 128)]):
+    for i, (conc, bs) in enumerate([(None, 64), (1, 32), (2, 128), ((1, 2), 96)]):
         out = str(tmp_path / f"out{i}")
         _run(transcripts_dir, out, n_buckets=8, concurrency=conc,
              batch_size=bs, resume=False)
-        manifest = {}
-        for f in glob.glob(os.path.join(out, "_lineage", "bucket-*.json")):
-            m = json.load(open(f))
-            manifest[m["bucket"]] = (m["rows"], m["text_md5"])
-        hashes.append(manifest)
-    assert hashes[0] == hashes[1]
+        hashes.append(_lineage_manifest(out))
+    assert len(hashes[0]) == 8
+    assert all(h == hashes[0] for h in hashes[1:])
+
+
+def test_finalize_packs_more_buckets_than_cpus(ray_session, transcripts_dir, tmp_path):
+    """More buckets than the session's 4 CPUs: finalize packs several
+    buckets into each task, and every touched bucket still lands in the
+    manifest, the lineage and the output exactly once."""
+    out = str(tmp_path / "out")
+    manifest = _run(transcripts_dir, out, n_buckets=16, concurrency=2,
+                    batch_size=64, resume=False)
+    buckets = sorted(int(b) for b in manifest["bucket"])
+    assert buckets == sorted(set(buckets)) and len(buckets) > 4
+    lineage = _lineage_manifest(out)
+    assert sorted(lineage) == buckets
+    assert {int(b): (int(r), m) for b, r, m in zip(
+        manifest["bucket"], manifest["rows"], manifest["text_md5"])} == lineage
+    assert sum(r for r, _ in lineage.values()) == 1200
+    assert _read_all(out).num_rows == 1200
 
 
 def test_resume_skips_completed_buckets(ray_session, transcripts_dir, tmp_path):

@@ -95,12 +95,22 @@ def compare(name, ray_df, sql_df):
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = sys.argv[2].split(",") if len(sys.argv) > 2 else None
-    import duckdb
     import ray
 
-    if not ray.is_initialized():
+    owns_ray = not ray.is_initialized()
+    if owns_ray:
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
+    try:
+        _check(sf_dir, only)
+    finally:
+        if owns_ray:
+            ray.shutdown()
+
+
+def _check(sf_dir, only):
+    import duckdb
+
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
