@@ -37,7 +37,7 @@ def entry() -> Any:
     from htmlparsersharp_ray.pipelines.extract_pipeline import extract_dataset
 
     tdir = transcripts_for_sf("/root/testdata/sf0.001")
-    return extract_dataset(tdir, concurrency=(1, 4), batch_size=128)
+    return extract_dataset(tdir, concurrency=4, batch_size=128)
 
 
 # --- query callables -------------------------------------------------------
@@ -56,7 +56,7 @@ def _q_extract_turns(sf_dir: str):
     tdir = transcripts_for_sf(sf_dir)
     out_dir = os.path.join("/tmp/graft_extract_out", os.path.basename(tdir))
     shutil.rmtree(out_dir, ignore_errors=True)
-    run_extract_pipeline(tdir, out_dir, n_buckets=32, concurrency=(1, 4), batch_size=128)
+    run_extract_pipeline(tdir, out_dir, n_buckets=32, concurrency=4, batch_size=128)
     files = sorted(glob.glob(os.path.join(out_dir, "bucket=*/part.parquet")))
     table = pa.concat_tables([pq.read_table(f, columns=["conv_id", "turn_idx", "extracted_text", "doc_mode"]) for f in files])
     return table.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
@@ -131,8 +131,8 @@ def _q_turns_curate(sf_dir: str):
     from htmlparsersharp_ray.stages.parse_stage import HtmlExtractUDF
 
     ds = ray.data.from_arrow(_synth_curation_transcripts(100))
-    ext = ds.map_batches(HtmlExtractUDF, batch_format="pyarrow",
-                         batch_size=64, concurrency=(1, 4))
+    ext = ds.map_batches(HtmlExtractUDF(), batch_format="pyarrow",
+                         batch_size=64)
     return curate(turns_to_docs(ext))
 
 
@@ -153,8 +153,8 @@ def _q_extract_links(sf_dir: str):
     tdir = transcripts_for_sf(sf_dir)
     links = ray.data.read_parquet(
         tdir, columns=["conv_id", "turn_idx", "text"]
-    ).map_batches(LinkExtractUDF, batch_format="pyarrow",
-                  batch_size=256, concurrency=(1, 4))
+    ).map_batches(LinkExtractUDF(), batch_format="pyarrow",
+                  batch_size=256)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("href", as_index=False).agg(
@@ -210,8 +210,8 @@ def _q_extract_nav_links(sf_dir: str):
             os.path.join(sf_dir, "nation.parquet"),
             columns=["n_nationkey", "n_name", "n_regionkey"])
         .map_batches(to_turns, batch_format="pyarrow")
-        .map_batches(LinkExtractUDF, batch_format="pyarrow",
-                     batch_size=64, concurrency=(1, 2))
+        .map_batches(LinkExtractUDF(), batch_format="pyarrow",
+                     batch_size=64)
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -252,8 +252,7 @@ def _q_extract_tables(sf_dir: str):
     )
     out = (ds.map_batches(render_part_tables, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(TableExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(TableExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("p_partkey").reset_index(drop=True))
 
@@ -280,8 +279,7 @@ def _q_extract_meta(sf_dir: str):
     )
     out = (ds.map_batches(render_customer_profiles, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(MetaExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(MetaExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("c_custkey").reset_index(drop=True))
 
@@ -308,8 +306,7 @@ def _q_extract_markdown(sf_dir: str):
     )
     out = (ds.map_batches(render_customer_markdown_pages,
                           batch_format="pyarrow", batch_size=512)
-             .map_batches(MarkdownExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(MarkdownExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("c_custkey").reset_index(drop=True))
 
@@ -337,8 +334,7 @@ def _q_extract_lists(sf_dir: str):
     )
     out = (ds.map_batches(make_render_nation_lists(region_names),
                           batch_format="pyarrow", batch_size=512)
-             .map_batches(ListExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 2)))
+             .map_batches(ListExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("n_nationkey").reset_index(drop=True))
 
@@ -362,8 +358,7 @@ def _q_extract_fragments(sf_dir: str):
     )
     out = (ds.map_batches(render_supplier_fragments, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(FragmentExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(FragmentExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("s_suppkey").reset_index(drop=True))
 
@@ -392,8 +387,7 @@ def _q_extract_headings(sf_dir: str):
     )
     out = (ds.map_batches(render_order_outlines, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(OutlineExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(OutlineExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values(["o_orderkey", "seq"]).reset_index(drop=True))
 
@@ -422,8 +416,7 @@ def _q_extract_code(sf_dir: str):
     )
     out = (ds.map_batches(render_order_code, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(CodeExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(CodeExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("o_orderkey").reset_index(drop=True))
 
@@ -450,8 +443,7 @@ def _q_extract_dl(sf_dir: str):
     )
     out = (ds.map_batches(render_part_dls, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(DlExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(DlExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values(["p_partkey", "term"])
                .reset_index(drop=True))
@@ -477,8 +469,7 @@ def _q_extract_formatting(sf_dir: str):
     )
     out = (ds.map_batches(render_customer_formatting,
                           batch_format="pyarrow", batch_size=512)
-             .map_batches(FormattingExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(FormattingExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("c_custkey").reset_index(drop=True))
 
@@ -502,8 +493,7 @@ def _q_extract_foster(sf_dir: str):
     )
     out = (ds.map_batches(render_supplier_fosters,
                           batch_format="pyarrow", batch_size=512)
-             .map_batches(FosterExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(FosterExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("s_suppkey").reset_index(drop=True))
 
@@ -527,8 +517,7 @@ def _q_extract_svg(sf_dir: str):
     )
     out = (ds.map_batches(render_part_svgs, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(SvgExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(SvgExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("p_partkey").reset_index(drop=True))
 
@@ -550,8 +539,7 @@ def _q_extract_ruby(sf_dir: str):
     )
     out = (ds.map_batches(render_nation_rubies,
                           batch_format="pyarrow", batch_size=512)
-             .map_batches(RubyExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 2)))
+             .map_batches(RubyExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("n_nationkey").reset_index(drop=True))
 
@@ -575,8 +563,7 @@ def _q_extract_template(sf_dir: str):
     )
     out = (ds.map_batches(render_order_templates,
                           batch_format="pyarrow", batch_size=512)
-             .map_batches(TemplateExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(TemplateExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("o_orderkey").reset_index(drop=True))
 
@@ -604,8 +591,7 @@ def _q_extract_images(sf_dir: str):
     )
     out = (ds.map_batches(render_part_figures, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(FigureExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(FigureExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("p_partkey").reset_index(drop=True))
 
@@ -633,8 +619,7 @@ def _q_extract_jsonld(sf_dir: str):
     )
     out = (ds.map_batches(render_order_jsonld, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(JsonLdExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(JsonLdExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("o_orderkey").reset_index(drop=True))
 
@@ -872,8 +857,7 @@ def _q_extract_forms(sf_dir: str):
     )
     out = (ds.map_batches(render_customer_forms, batch_format="pyarrow",
                           batch_size=512)
-             .map_batches(FormExtractUDF, batch_format="pyarrow",
-                          concurrency=(1, 4)))
+             .map_batches(FormExtractUDF(), batch_format="pyarrow"))
     return (out.to_pandas()
                .sort_values("c_custkey").reset_index(drop=True))
 
@@ -1450,8 +1434,8 @@ def _q_docs_clean_corpus(sf_dir: str):
     out = (
         ds.map_batches(quality_filter, batch_format="pandas")
         .map_batches(lang_filter, batch_format="pandas")
-        .map_batches(TokenCountUDF, batch_format="pandas",
-                     batch_size=2048, concurrency=(1, 2))
+        .map_batches(TokenCountUDF(), batch_format="pandas",
+                     batch_size=2048)
     )
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
@@ -1751,8 +1735,8 @@ def _q_media_frames(sf_dir: str):
         lambda t: t.filter(pc.equal(t.column("kind"), "audio")),
         batch_format="pyarrow",
     )
-    out = ds.map_batches(AudioFrameSampleUDF, fn_constructor_kwargs={"fake": False},
-                         batch_format="pyarrow", batch_size=16, concurrency=(1, 2))
+    out = ds.map_batches(AudioFrameSampleUDF(fake=False),
+                         batch_format="pyarrow", batch_size=16)
     return out.to_pandas().sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
 
 
@@ -1904,7 +1888,7 @@ def _synth_phash_corpus(n: int = 200):
 
 def _q_media_phash_dups(sf_dir: str):
     """Multimodal near-dup detection: REAL PPM decode → 64-bit
-    perceptual average-hash per image (actor pool) → the generic banded
+    perceptual average-hash per image (Ray Data tasks) → the generic banded
     64-bit pair miner shared with SimHash (complete recall to Hamming
     7). Rows-only for the driver (decode + perceptual hash are not
     SQL-expressible); gated by planted-dup recall + banded-vs-brute-
@@ -2012,8 +1996,8 @@ def _q_media_features(sf_dir: str):
     from htmlparsersharp_ray.stages.multimodal import MediaFeatureUDF, synth_media_table
 
     ds = ray.data.from_arrow(synth_media_table(200))
-    out = ds.map_batches(MediaFeatureUDF, fn_constructor_kwargs={"fake": False},
-                         batch_format="pyarrow", batch_size=16, concurrency=(1, 2))
+    out = ds.map_batches(MediaFeatureUDF(fake=False),
+                         batch_format="pyarrow", batch_size=16)
     return out.to_pandas().sort_values("media_id").reset_index(drop=True)
 
 
@@ -2037,9 +2021,8 @@ def _q_media_resize(sf_dir: str):
     full = ray.data.from_arrow(synth_media_table(200))
     imgs = full.filter(lambda r: r["kind"] == "image")
     out = imgs.map_batches(
-        ImageResizeUDF, fn_constructor_kwargs={"width": 16, "height": 12,
-                                          "fake": False},
-        batch_format="pyarrow", batch_size=32, concurrency=(1, 2))
+        ImageResizeUDF(width=16, height=12, fake=False),
+        batch_format="pyarrow", batch_size=32)
 
     def sig(batch: pa.Table) -> pa.Table:
         pl = batch.column("payload").to_pylist()
@@ -2071,8 +2054,8 @@ def _q_media_meta(sf_dir: str):
     )
 
     ds = ray.data.from_arrow(synth_media_table(200))
-    out = ds.map_batches(MediaMetaUDF, batch_format="pyarrow",
-                         batch_size=64, concurrency=(1, 2))
+    out = ds.map_batches(MediaMetaUDF(), batch_format="pyarrow",
+                         batch_size=64)
     return out.to_pandas().sort_values("media_id").reset_index(drop=True)
 
 
@@ -2415,10 +2398,12 @@ def _kcenter_oracle_sql(k: int = 16) -> str:
     radius hits 0 every later round's best is 0 too (mind2 is
     non-increasing and its max was already 0), so all post-stop rows
     drop."""
-    parts = ["""
+    from htmlparsersharp_ray.stages.clustering import GRID_SCALE
+
+    parts = [f"""
         WITH u AS MATERIALIZED (
             SELECT vec_id,
-                   CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                   CAST(CAST(unnest(embedding) AS DOUBLE) * {GRID_SCALE:.0f}
                         AS BIGINT) AS q,
                    unnest(generate_series(1, len(embedding))) AS dim
             FROM embeddings
@@ -2460,7 +2445,7 @@ def _kcenter_oracle_sql(k: int = 16) -> str:
     for r in range(1, k):
         sel.append(f"""
             UNION ALL SELECT CAST({r} AS BIGINT), cid,
-                   sqrt(CAST(d2 AS DOUBLE)) / 1048576.0,
+                   sqrt(CAST(d2 AS DOUBLE)) / {GRID_SCALE},
                    CASE WHEN d2 > 0 THEN 1 ELSE 0 END
             FROM c{r}""")
     sel.append("""
@@ -2469,7 +2454,7 @@ def _kcenter_oracle_sql(k: int = 16) -> str:
     return "".join(parts) + "".join(sel)
 
 
-def _kcore_oracle_sql(k: int = 82, rounds: int = 40) -> str:
+def _kcore_oracle_sql(k: int, rounds: int = 40) -> str:
     """Round-5 oracle promotion: k-core fixpoint peeling unrolled as
     ``rounds`` SQL rounds. Peeling is MONOTONE — each round removes
     every node whose degree in the current subgraph is < k, and once
@@ -2508,7 +2493,7 @@ def _kcore_oracle_sql(k: int = 82, rounds: int = 40) -> str:
     return "".join(parts)
 
 
-def _ktruss_oracle_sql(k: int = 4, rounds: int = 20) -> str:
+def _ktruss_oracle_sql(k: int, rounds: int = 20) -> str:
     """Round-5 oracle promotion: k-truss support peeling unrolled as
     ``rounds`` bounded SQL rounds — the same monotone-fixpoint argument
     as _kcore_oracle_sql (each round drops every edge with < k−2
@@ -2556,7 +2541,12 @@ def _pdf_layout_oracle_sql() -> str:
     against render→extract empirically. Exact-regime assumption: no
     corpus word exceeds the 72-char column (measured max 8 at all three
     sfs), so the hard-break branch never fires."""
-    return """
+    from htmlparsersharp_ray.pdf.writer import (
+        DEFAULT_LINES_PER_PAGE,
+        DEFAULT_WRAP_CHARS,
+    )
+
+    return f"""
         WITH RECURSIVE w0 AS MATERIALIZED (
             SELECT doc_id,
                    list_filter(string_split_regex(COALESCE(text, ''),
@@ -2575,14 +2565,14 @@ def _pdf_layout_oracle_sql() -> str:
             SELECT s.doc_id, s.wi + 1,
                    CASE WHEN s.cur_len + len(x.w)
                              + CASE WHEN s.cur_len > 0 THEN 1 ELSE 0 END
-                             > 72
+                             > {DEFAULT_WRAP_CHARS}
                         THEN len(x.w)
                         ELSE s.cur_len + len(x.w)
                              + CASE WHEN s.cur_len > 0 THEN 1 ELSE 0 END
                    END,
                    CASE WHEN s.cur_len + len(x.w)
                              + CASE WHEN s.cur_len > 0 THEN 1 ELSE 0 END
-                             > 72
+                             > {DEFAULT_WRAP_CHARS}
                         THEN s.nlines + 1 ELSE s.nlines END
             FROM st s JOIN wx x
               ON x.doc_id = s.doc_id AND x.wi = s.wi + 1
@@ -2595,15 +2585,15 @@ def _pdf_layout_oracle_sql() -> str:
             WHERE s.wi = len(w0.ws)
         )
         SELECT doc_id,
-               GREATEST(1, CAST(CEIL(n_lines / 40.0) AS BIGINT))
+               GREATEST(1, CAST(CEIL(n_lines / {DEFAULT_LINES_PER_PAGE}.0) AS BIGINT))
                    AS n_pages,
                CAST(n_lines AS BIGINT) AS n_text_ops
         FROM fin ORDER BY doc_id"""
 
 
-def _textrank_oracle_sql(iters: int = 20) -> str:
+def _textrank_oracle_sql() -> str:
     """Round-5 oracle promotion: per-document integer fixed-point
-    TextRank unrolled as ``iters`` SQL rounds — the part_pagerank idiom
+    TextRank unrolled as TEXTRANK_ITERS SQL rounds — the part_pagerank idiom
     over the sentence word-overlap graph, with the engine's own
     SENTENCE_SPLIT_PATTERN / [a-z0-9]+ word regex re-derived in RE2.
     All arithmetic is BIGINT with per-j floor division
@@ -2614,16 +2604,21 @@ def _textrank_oracle_sql(iters: int = 20) -> str:
     token-free graph → (0, 1000000, first sentence)."""
     from htmlparsersharp_ray.stages.text_analysis import (
         SENTENCE_SPLIT_PATTERN,
+        TEXTRANK_BASE,
+        TEXTRANK_DAMPING_PCT,
+        TEXTRANK_ITERS,
+        TEXTRANK_MAX_SENTENCES,
+        TEXTRANK_SCALE,
         TEXTRANK_WORD_RE,
     )
 
     rounds = []
     prev = "r0"
-    for t in range(1, iters + 1):
+    for t in range(1, TEXTRANK_ITERS + 1):
         rounds.append(f""",
         r{t} AS MATERIALIZED (
             SELECT n.doc_id, n.idx,
-                   CAST(150000 + (85 * COALESCE(SUM(e.w * (p.r // stg.s)),
+                   CAST({TEXTRANK_BASE} + ({TEXTRANK_DAMPING_PCT} * COALESCE(SUM(e.w * (p.r // stg.s)),
                                                 0)) // 100
                         AS BIGINT) AS r
             FROM nodes n
@@ -2647,7 +2642,7 @@ def _textrank_oracle_sql(iters: int = 20) -> str:
                    unnest(generate_series(0, len(sents) - 1)) AS idx
             FROM s0
         ),
-        sg AS MATERIALIZED (SELECT * FROM sx WHERE idx < 64),
+        sg AS MATERIALIZED (SELECT * FROM sx WHERE idx < {TEXTRANK_MAX_SENTENCES}),
         tok AS MATERIALIZED (
             SELECT DISTINCT doc_id, idx,
                    unnest(regexp_extract_all(lower(sent),
@@ -2664,7 +2659,7 @@ def _textrank_oracle_sql(iters: int = 20) -> str:
         stg AS MATERIALIZED (SELECT doc_id, i AS idx, SUM(w) AS s
                 FROM e GROUP BY doc_id, i),
         nodes AS MATERIALIZED (SELECT doc_id, idx FROM sg),
-        r0 AS MATERIALIZED (SELECT doc_id, idx, CAST(1000000 AS BIGINT) AS r
+        r0 AS MATERIALIZED (SELECT doc_id, idx, CAST({TEXTRANK_SCALE} AS BIGINT) AS r
                FROM nodes){''.join(rounds)},
         best AS (
             SELECT doc_id, idx, r,
@@ -2676,15 +2671,15 @@ def _textrank_oracle_sql(iters: int = 20) -> str:
         SELECT s0.doc_id,
                CAST(len(s0.sents) AS BIGINT) AS n_sentences,
                CASE WHEN len(s0.sents) = 0 THEN CAST(-1 AS BIGINT)
-                    WHEN LEAST(len(s0.sents), 64) = 1
+                    WHEN LEAST(len(s0.sents), {TEXTRANK_MAX_SENTENCES}) = 1
                          OR ht.doc_id IS NULL THEN CAST(0 AS BIGINT)
                     ELSE b.idx END AS sent_idx,
                CASE WHEN len(s0.sents) = 0 THEN CAST(0 AS BIGINT)
-                    WHEN LEAST(len(s0.sents), 64) = 1
-                         OR ht.doc_id IS NULL THEN CAST(1000000 AS BIGINT)
+                    WHEN LEAST(len(s0.sents), {TEXTRANK_MAX_SENTENCES}) = 1
+                         OR ht.doc_id IS NULL THEN CAST({TEXTRANK_SCALE} AS BIGINT)
                     ELSE b.r END AS score_fp,
                CASE WHEN len(s0.sents) = 0 THEN ''
-                    WHEN LEAST(len(s0.sents), 64) = 1
+                    WHEN LEAST(len(s0.sents), {TEXTRANK_MAX_SENTENCES}) = 1
                          OR ht.doc_id IS NULL
                          THEN substring(s0.sents[1], 1, 80)
                     ELSE substring(s0.sents[b.idx + 1], 1, 80)
@@ -2696,6 +2691,10 @@ def _textrank_oracle_sql(iters: int = 20) -> str:
 
 
 def oracle_sql() -> dict[str, str]:
+    from htmlparsersharp_ray.pipelines.relational import (
+        PART_KCORE_K,
+        PART_KTRUSS_K,
+    )
     from htmlparsersharp_ray.stages.text_analysis import REDACT_PATTERNS
 
     # single source of truth for the scrub patterns (engine & oracle);
@@ -5504,8 +5503,8 @@ def oracle_sql() -> dict[str, str]:
         """,
         "docs_textrank": _textrank_oracle_sql(),
         "embeddings_kcenter": _kcenter_oracle_sql(),
-        "part_kcore": _kcore_oracle_sql(),
-        "part_ktruss": _ktruss_oracle_sql(),
+        "part_kcore": _kcore_oracle_sql(PART_KCORE_K),
+        "part_ktruss": _ktruss_oracle_sql(PART_KTRUSS_K),
         "docs_pdf_layout": _pdf_layout_oracle_sql(),
         "docs_sentences": f"""
             -- sentence segmentation: boundary regex interpolated from

@@ -114,12 +114,6 @@ def _extract_carry_bucket(batch: pa.Table) -> pa.Table:
     return out.append_column("bucket", batch.column("bucket"))
 
 
-def _task_cap(concurrency):
-    """Cap on concurrent parse tasks: an int as given, a ``(min, max)``
-    pool-size tuple as its max, None to let Ray Data size the stage."""
-    return concurrency[1] if isinstance(concurrency, tuple) else concurrency
-
-
 def _partial_dir(out_dir: str, run_id: str) -> str:
     # run-scoped: a crashed run's partials can never leak rows into a
     # later run's finalize (they are wiped before phase A starts)
@@ -306,7 +300,8 @@ def run_extract_pipeline(
     input_format: str = "parquet",
 ):
     """Run the flagship pipeline; returns the manifest as a pandas DataFrame
-    (one row per bucket written this run)."""
+    (one row per bucket written this run). ``concurrency`` caps the
+    parse stage at that many tasks; None lets Ray Data size it."""
     import shutil
     import uuid
 
@@ -328,7 +323,7 @@ def run_extract_pipeline(
         _extract_carry_bucket,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=_task_cap(concurrency),
+        concurrency=concurrency,
     )
     # phase A: parse + map-side-merged shuffle files (no Ray shuffle)
     partials = ds.map_batches(
@@ -360,7 +355,7 @@ def extract_dataset(input_dir: str, concurrency=None, batch_size: int = 256):
         HtmlExtractUDF(),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=_task_cap(concurrency),
+        concurrency=concurrency,
     )
 
 

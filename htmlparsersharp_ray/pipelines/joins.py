@@ -436,6 +436,35 @@ def broadcast_join(
     )
 
 
+class KeyFilter:
+    """Semi/anti key-membership filter against a broadcast sorted key
+    array, fetched from the object store once per actor."""
+
+    def __init__(self, keys_ref, left_on: str, keep_match: bool):
+        self.keys = ray.get(keys_ref)
+        self.left_on = left_on
+        self.keep_match = keep_match
+
+    def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
+        vals = b[self.left_on]
+        hit = vals.isin(self.keys).to_numpy()
+        if self.keep_match:
+            # EXISTS: null left keys never match
+            return b[hit & vals.notna().to_numpy()]
+        return b[~hit]  # NOT EXISTS: null left keys kept
+
+
+def _broadcast_key_filter(left: ray.data.Dataset, keys, left_on: str,
+                          how: str) -> ray.data.Dataset:
+    """Map-side semi/anti join: the sorted key set ships once via
+    ray.put (EXISTS semantics, matching hash_join's semi/anti contract)."""
+    keys_ref = ray.put(np.sort(keys))
+    return left.map_batches(KeyFilter,
+                            fn_constructor_args=(keys_ref, left_on,
+                                                 how == "semi"),
+                            batch_format="pandas", concurrency=(1, 4))
+
+
 def gated_keyset_filter(
     left: ray.data.Dataset,
     keys_ds: ray.data.Dataset,
@@ -464,23 +493,8 @@ def gated_keyset_filter(
         hint_bytes = None
     if hint_bytes is None or hint_bytes > broadcast_threshold_bytes:
         return hash_join(left, keys_ds, left_on, key_col, how)
-    keys = np.sort(pd.unique(keys_ds.to_pandas()[key_col].dropna()))
-    keys_ref = ray.put(keys)
-    keep_match = how == "semi"
-
-    class KeyFilter:
-        def __init__(self):
-            self.keys = ray.get(keys_ref)
-
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            vals = b[left_on]
-            hit = vals.isin(self.keys).to_numpy()
-            if keep_match:
-                return b[hit & vals.notna().to_numpy()]
-            return b[~hit]
-
-    return left.map_batches(KeyFilter, batch_format="pandas",
-                            concurrency=(1, 4))
+    keys = pd.unique(keys_ds.to_pandas()[key_col].dropna())
+    return _broadcast_key_filter(left, keys, left_on, how)
 
 
 def join(
@@ -518,23 +532,7 @@ def join(
                 {col: pc.unique(pc.drop_null(t.column(col)))}),
             batch_format="pyarrow",
         ).to_pandas()[right_on].unique())
-        keys_ref = ray.put(np.sort(keys))
-        keep_match = how == "semi"
-
-        class KeyFilter:
-            def __init__(self):
-                self.keys = ray.get(keys_ref)
-
-            def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-                vals = b[left_on]
-                hit = vals.isin(self.keys).to_numpy()
-                if keep_match:
-                    # EXISTS: null left keys never match
-                    return b[hit & vals.notna().to_numpy()]
-                return b[~hit]  # NOT EXISTS: null left keys kept
-
-        return left.map_batches(KeyFilter, batch_format="pandas",
-                                concurrency=(1, 4))
+        return _broadcast_key_filter(left, keys, left_on, how)
     # FULL joins always shuffle: a map-side broadcast can't emit the
     # right-only rows (no worker knows which right rows matched nowhere)
     return hash_join(left, right, left_on, right_on, how, n_buckets)

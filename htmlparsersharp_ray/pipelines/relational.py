@@ -4390,8 +4390,7 @@ def q_docs_language_mixture(sf_dir: str):
     ds = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "text", "source", "lang"]
     ).map_batches(
-        WithSource, batch_format="pandas", batch_size=2048,
-        concurrency=(1, 2),
+        WithSource(), batch_format="pandas", batch_size=2048,
     )
     parts = _pysum_cols(ds.to_pandas(), ["n_docs"])
     out = parts.groupby(["source", "lang_pred"], as_index=False).sum()
@@ -4739,6 +4738,11 @@ def q_part_link_predict(sf_dir: str):
             .sort_values(["part_a", "part_b"]).reset_index(drop=True))
 
 
+# k of part_kcore / part_ktruss; the DuckDB oracles import them
+PART_KCORE_K = 82
+PART_KTRUSS_K = 4
+
+
 def q_part_kcore(sf_dir: str):
     """K-CORE DECOMPOSITION of the part co-purchase graph (k=82 —
     just below the sf0.01 percolation threshold at 83, giving a
@@ -4758,7 +4762,7 @@ def q_part_kcore(sf_dir: str):
     li = ray.data.read_parquet(
         _t(sf_dir, "lineitem"), columns=["l_orderkey", "l_partkey"])
     edges = group_cooccurrence_edges(li, "l_orderkey", "l_partkey")
-    out = kcore(edges, k=82).to_pandas()
+    out = kcore(edges, k=PART_KCORE_K).to_pandas()
     if out.empty:  # Ray drops columns on all-empty to_pandas()
         out = pd.DataFrame({"node": pd.Series([], dtype="int64"),
                             "core_deg": pd.Series([], dtype="int64")})
@@ -11628,7 +11632,7 @@ def q_lineitem_ship_latency(sf_dir: str):
             .sort_values("o_orderpriority").reset_index(drop=True))
 
 
-def q_part_ktruss(sf_dir: str, k: int = 4):
+def q_part_ktruss(sf_dir: str, k: int = PART_KTRUSS_K):
     """K-TRUSS (k = 4) of the part co-purchase graph: the maximal
     subgraph where every surviving edge closes ≥ k − 2 triangles with
     OTHER surviving edges — the cohesion cut between k-core's degree

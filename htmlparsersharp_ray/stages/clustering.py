@@ -34,7 +34,9 @@ import pyarrow as pa
 import ray
 import ray.data
 
-_SCALE = float(1 << 20)
+# fixed-point grid for exact integer distances; the k-center oracle
+# imports it
+GRID_SCALE = float(1 << 20)
 
 
 def _batch_matrix(batch: pa.Table, vec_col: str) -> np.ndarray:
@@ -107,7 +109,7 @@ def fit_centroids(
                     "sums": pa.array([], pa.large_binary()),
                 })
             a = _assign(x, _cent)
-            x_fp = np.rint(x * _SCALE).astype(np.int64)
+            x_fp = np.rint(x * GRID_SCALE).astype(np.int64)
             uniq = np.unique(a)
             sums, ns = [], []
             for c in uniq:
@@ -133,7 +135,7 @@ def fit_centroids(
                     tot[j] += int(v[j])
             n = int(grp["n"].sum())
             new_cent[int(c)] = np.array(
-                [t / (n * _SCALE) for t in tot], dtype=np.float64)
+                [t / (n * GRID_SCALE) for t in tot], dtype=np.float64)
         cent = new_cent
     return cent
 
@@ -196,7 +198,7 @@ def kmeans_reference(
     cent = x[seed_rows].astype(np.float64)
     k = len(cent)
     x = x.astype(np.float64)
-    x_fp = np.rint(x * _SCALE).astype(np.int64)
+    x_fp = np.rint(x * GRID_SCALE).astype(np.int64)
     for _ in range(iters):
         a = _assign(x, cent)
         new_cent = cent.copy()
@@ -205,7 +207,7 @@ def kmeans_reference(
             n = int(m.sum())
             if n:
                 tot = [int(v) for v in x_fp[m].sum(axis=0)]
-                new_cent[c] = np.array([t / (n * _SCALE) for t in tot])
+                new_cent[c] = np.array([t / (n * GRID_SCALE) for t in tot])
         cent = new_cent
     return _assign(x, cent), cent
 
@@ -417,7 +419,7 @@ def kcenter_sample(
     seeds = seeds.sort_values([id_col, "_vb"], kind="stable")
     seed_id = int(seeds[id_col].iloc[0])
     seed_q = np.rint(
-        np.asarray(seeds[vec_col].iloc[0], dtype=np.float64) * _SCALE
+        np.asarray(seeds[vec_col].iloc[0], dtype=np.float64) * GRID_SCALE
     ).astype(np.int64)
 
     chosen = [(0, seed_id, 0.0)]
@@ -425,7 +427,7 @@ def kcenter_sample(
 
     def fold_center(batch: pa.Table, _cq=seed_q, _first=True) -> pa.Table:
         x = _batch_matrix(batch, vec_col)
-        q = np.rint(x * _SCALE).astype(np.int64)
+        q = np.rint(x * GRID_SCALE).astype(np.int64)
         diff = q - _cq
         d2 = (diff * diff).sum(axis=1) if len(q) else np.empty(0, np.int64)
         if not _first:
@@ -450,7 +452,7 @@ def kcenter_sample(
         cand = np.flatnonzero(d2 == m)
         i = cand[np.argmin(ids[cand])]
         qv = np.rint(
-            _batch_matrix(batch, vec_col)[i] * _SCALE).astype(np.int64)
+            _batch_matrix(batch, vec_col)[i] * GRID_SCALE).astype(np.int64)
         return pa.table({
             id_col: pa.array([int(ids[i])], pa.int64()),
             "mind2": pa.array([int(m)], pa.int64()),
@@ -467,7 +469,7 @@ def kcenter_sample(
             break  # perfect cover: remaining points duplicate centers
         best_id = int(parts[id_col].iloc[0])
         best_q = np.frombuffer(parts["q"].iloc[0], dtype=np.int64)
-        chosen.append((rank, best_id, float(np.sqrt(best_d2)) / _SCALE))
+        chosen.append((rank, best_id, float(np.sqrt(best_d2)) / GRID_SCALE))
         if rank < k - 1:
             def fold(batch: pa.Table, _cq=best_q) -> pa.Table:
                 return fold_center(batch, _cq=_cq, _first=False)
@@ -488,7 +490,8 @@ def kcenter_reference(
     order = np.lexsort((vb, ids))  # (id, vector-bytes): dup-id tie-break
     ids = ids[order]
     vecs = np.asarray(vecs)[order]
-    q = np.rint(np.asarray(vecs, dtype=np.float64) * _SCALE).astype(np.int64)
+    q = np.rint(np.asarray(vecs, dtype=np.float64)
+                * GRID_SCALE).astype(np.int64)
     i0 = 0  # smallest id first (lexsort put it there)
     chosen = [(0, int(ids[i0]), 0.0)]
     diff = q - q[i0]
@@ -499,7 +502,7 @@ def kcenter_reference(
             break
         cand = np.flatnonzero(mind2 == m)
         i = cand[np.argmin(ids[cand])]
-        chosen.append((rank, int(ids[i]), float(np.sqrt(int(m))) / _SCALE))
+        chosen.append((rank, int(ids[i]), float(np.sqrt(int(m))) / GRID_SCALE))
         diff = q - q[i]
         mind2 = np.minimum(mind2, (diff * diff).sum(axis=1))
     out = pd.DataFrame(chosen, columns=["center_rank", "vec_id", "radius"])

@@ -151,7 +151,7 @@ def _minhash_signature(text: str, n: int = 3) -> np.ndarray:
 
 
 class MinHashUDF:
-    """Actor stage: doc → flattened (band, band_hash, doc_id) rows.
+    """Map stage: doc → flattened (band, band_hash, doc_id) rows.
     One output row per band per doc; the following groupby on
     (band, band_hash) is the LSH bucketing shuffle."""
 
@@ -467,8 +467,8 @@ def minhash_lsh_pairs_ds(
       3-4. exact verification + Bloom prune: :func:`_verify_pairs_exact`
     """
     sig_ds = docs.map_batches(
-        MinHashUDF, fn_constructor_args=(n,),
-        batch_format="pyarrow", batch_size=512, concurrency=(1, 8),
+        MinHashUDF(n),
+        batch_format="pyarrow", batch_size=512,
     )
 
     def add_coarse_bucket(batch: pa.Table) -> pa.Table:
@@ -866,7 +866,7 @@ def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 6) -> pd.DataFrame:
     """Near-dup pairs by SimHash over text: SimHashUDF signatures →
     :func:`hash64_band_pairs` (the generic banded 64-bit-signature pair
     miner, shared with image pHash dedup in ``stages/multimodal.py``)."""
-    sig = docs.map_batches(SimHashUDF, batch_format="pyarrow", batch_size=512, concurrency=(1, 8))
+    sig = docs.map_batches(SimHashUDF(), batch_format="pyarrow", batch_size=512)
     return hash64_band_pairs(sig, max_hamming=max_hamming)
 
 

@@ -12,9 +12,9 @@ Two decode paths behind one seam (VERDICT r1 item 8):
   for pipeline-shape and determinism tests.
 
 Design notes for 100 TB: binary payload batches must be SMALL
-(batch_size=8-32) so batch × concurrency fits worker heaps; blocks with
-multi-MB rows should flow with `batch_format="pyarrow"` end-to-end (pandas
-would copy); decoders are actor pools with per-actor state in __init__.
+(batch_size=8-32) so a batch fits a worker heap; blocks with multi-MB
+rows should flow with `batch_format="pyarrow"` end-to-end (pandas would
+copy); decoders hold only scalar settings, so they run as Ray Data tasks.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def audio_features(samples: np.ndarray, dim: int = FEATURE_DIM) -> np.ndarray:
 
 
 class MediaFeatureUDF:
-    """Actor stage: binary payload → fixed-dim feature vector.
+    """Map stage: binary payload → fixed-dim feature vector.
 
     ``fake=False`` (default) REALLY decodes: PPM pixels → mean-luma grid,
     WAV samples → segment-energy profile. ``fake=True`` derives the
@@ -347,7 +347,7 @@ def average_hash64(pixels: np.ndarray) -> int:
 
 
 class ImagePHashUDF:
-    """Actor stage: PPM image payload → 64-bit perceptual hash row
+    """Map stage: PPM image payload → 64-bit perceptual hash row
     (``media_id``, ``phash``). Non-image payloads are dropped (the
     caller usually pre-filters ``kind == 'image'``)."""
 
@@ -368,19 +368,17 @@ class ImagePHashUDF:
         })
 
 
-def phash_dups(media: "ray.data.Dataset", max_hamming: int = 6,
-               concurrency=(1, 8)):
+def phash_dups(media: "ray.data.Dataset", max_hamming: int = 6):
     """Near-duplicate IMAGE pairs by perceptual hash — the multimodal
     member of the dedup family: REAL PPM decode → aHash per image
-    (actor pool), then the generic banded 64-bit pair miner
+    (Ray Data tasks), then the generic banded 64-bit pair miner
     (``stages/dedup.py::hash64_band_pairs``, complete recall to
     Hamming 7, distinct-signature collapse, single-bucket emission).
     Returns (media_a, media_b, hamming), media_a < media_b."""
     from .dedup import hash64_band_pairs
 
     sig = media.map_batches(
-        ImagePHashUDF, batch_format="pyarrow", batch_size=32,
-        concurrency=concurrency,
+        ImagePHashUDF(), batch_format="pyarrow", batch_size=32,
     )
     out = hash64_band_pairs(sig, max_hamming=max_hamming,
                             id_col="media_id", hash_col="phash")
@@ -411,7 +409,7 @@ def audio_hash64(samples: np.ndarray) -> int:
 
 
 class AudioHashUDF:
-    """Actor stage: WAV payload → 64-bit energy-envelope fingerprint row
+    """Map stage: WAV payload → 64-bit energy-envelope fingerprint row
     (``media_id``, ``ahash``). Non-audio payloads are dropped."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -430,18 +428,16 @@ class AudioHashUDF:
         })
 
 
-def audio_dups(media: "ray.data.Dataset", max_hamming: int = 6,
-               concurrency=(1, 8)):
+def audio_dups(media: "ray.data.Dataset", max_hamming: int = 6):
     """Near-duplicate AUDIO pairs — the audio member of the dedup
     family: REAL WAV decode → energy-envelope fingerprint per clip
-    (actor pool) → the generic banded 64-bit pair miner
+    (Ray Data tasks) → the generic banded 64-bit pair miner
     (``stages/dedup.py::hash64_band_pairs``). Returns
     (media_a, media_b, hamming), media_a < media_b."""
     from .dedup import hash64_band_pairs
 
     sig = media.map_batches(
-        AudioHashUDF, batch_format="pyarrow", batch_size=32,
-        concurrency=concurrency,
+        AudioHashUDF(), batch_format="pyarrow", batch_size=32,
     )
     out = hash64_band_pairs(sig, max_hamming=max_hamming,
                             id_col="media_id", hash_col="ahash")

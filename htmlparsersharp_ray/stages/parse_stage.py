@@ -194,7 +194,7 @@ class LinkExtractUDF:
     nav/header/footer/aside ancestry (boilerplate links vs editorial
     links — the signal link-based crawl frontiers weight by).
 
-    Actor-pool stage (parser state amortizes per actor); the DOM walk is
+    Runs as Ray Data tasks like the flagship parse; the DOM walk is
     iterative (explicit stack — no recursion limit on deep markup).
     Reference parity: the reference parses and exposes the DOM
     (SimpleHtmlParser.cs); link extraction is an engine-level consumer
@@ -368,11 +368,9 @@ class TableExtractUDF:
     HTML5 parser and emit one typed row per data row of the FIRST
     ``<table>`` — the wrapper-table/data-table shape of web scraping.
     Skips header rows (``th`` cells), caption text, and foster-parented
-    stray text (which the spec moves OUT of the table). Actor-pool
-    stage; iterative DOM walks (no recursion limit)."""
-
-    def __init__(self):
-        pass
+    stray text (which the spec moves OUT of the table). Stateless, so
+    it runs as Ray Data tasks; iterative DOM walks (no recursion
+    limit)."""
 
     @staticmethod
     def _text_of(node) -> str:

@@ -1,9 +1,10 @@
 """Ray stages for the PDF layer: render documents to PDF bytes and
 extract text back with layout metrics.
 
-Both UDFs are actor-pool classes over small pyarrow batches (binary
-payloads — same sizing discipline as stages/multimodal.py: batch ×
-concurrency must fit worker heaps; blocks flow zero-copy Arrow).
+Both UDFs are stateless callables run as Ray Data tasks over small
+pyarrow batches (binary payloads — same sizing discipline as
+stages/multimodal.py: a batch must fit a worker heap; blocks flow
+zero-copy Arrow).
 Per-document codec work is a sanctioned per-row loop, exactly like the
 HTML parse stage: a document codec has no columnar kernel.
 
@@ -61,25 +62,23 @@ class PdfExtractUDF:
         })
 
 
-def render_corpus(docs: ray.data.Dataset, *, compress: bool = True,
-                  concurrency=(1, 4)) -> ray.data.Dataset:
+def render_corpus(docs: ray.data.Dataset, *,
+                  compress: bool = True) -> ray.data.Dataset:
     """documents(doc_id, text) → (doc_id, pdf)."""
     return docs.map_batches(
-        PdfRenderUDF, fn_constructor_kwargs={"compress": compress},
-        batch_format="pyarrow", batch_size=256, concurrency=concurrency,
+        PdfRenderUDF(compress=compress),
+        batch_format="pyarrow", batch_size=256,
     )
 
 
-def extract_corpus(pdfs: ray.data.Dataset, *,
-                   concurrency=(1, 8)) -> ray.data.Dataset:
+def extract_corpus(pdfs: ray.data.Dataset) -> ray.data.Dataset:
     """(doc_id, pdf) → (doc_id, text, n_pages, n_text_ops).
 
     Extract is ~2.4× the per-doc cost of render (measured: 8.5k vs
-    3.5k docs/s/core on median-length corpus docs), so its pool range
-    is wider — the autoscaler balances the chained stages."""
+    3.5k docs/s/core on median-length corpus docs); Ray Data sizes the
+    two chained task stages to balance them."""
     return pdfs.map_batches(
-        PdfExtractUDF, batch_format="pyarrow", batch_size=256,
-        concurrency=concurrency,
+        PdfExtractUDF(), batch_format="pyarrow", batch_size=256,
     )
 
 

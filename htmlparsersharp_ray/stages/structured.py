@@ -147,10 +147,7 @@ def render_customer_profiles(batch: pa.Table) -> pa.Table:
 
 class MetaExtractUDF:
     """Parse each profile document and emit its head metadata as one
-    typed row. Actor-pool stage (parser tables amortized per actor)."""
-
-    def __init__(self):
-        pass
+    typed row. Stateless, so it runs as Ray Data tasks."""
 
     @staticmethod
     def _fields(html: str):
@@ -254,9 +251,6 @@ class ListExtractUDF:
     its region is the label text of the <li> two levels up (excluding
     the nested <ul> subtree)."""
 
-    def __init__(self):
-        pass
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element
         from ..html.parser import parse
@@ -324,9 +318,6 @@ class FragmentExtractUDF:
     """Parse each fragment with its context element
     (``parse_fragment``, mirroring ParseStringFragment) and recover the
     typed supplier row from the <td> cells in document order."""
-
-    def __init__(self):
-        pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element
@@ -424,21 +415,17 @@ def render_customer_markdown_pages(batch: pa.Table) -> pa.Table:
 
 class MarkdownExtractUDF:
     """HTML → Markdown conversion through the REAL HTML5 parser
-    (actor-pool stage): parse each page, convert the DOM via
+    (run as Ray Data tasks): parse each page, convert the DOM via
     :func:`htmlparsersharp_ray.extract.markdown.dom_to_markdown`.
     The graded round trip proves heading/list/link/emphasis structure
     survives implied-end-tag repair, NCR decoding and tag case-folding
     — the HTML→Markdown step of a pretraining corpus pipeline."""
 
-    def __init__(self):
+    def __call__(self, batch: pa.Table) -> pa.Table:
         from ..extract.markdown import dom_to_markdown
         from ..html.parser import parse
 
-        self._parse = parse
-        self._to_md = dom_to_markdown
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mds = [self._to_md(self._parse(h).root)
+        mds = [dom_to_markdown(parse(h).root)
                for h in batch.column("html").to_pylist()]
         return pa.table({
             "c_custkey": batch.column("c_custkey"),
@@ -511,9 +498,6 @@ class OutlineExtractUDF:
     discipline). The h1 key rides the heading text ("Order <k>"), so
     extraction inverts the render exactly and the oracle is plain SQL
     over ``orders``."""
-
-    def __init__(self):
-        pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element
@@ -642,9 +626,6 @@ class CodeExtractUDF:
     LF-after-<pre> styles, already missing the parser-dropped leading
     newline."""
 
-    def __init__(self):
-        pass
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element
         from ..html.parser import parse
@@ -755,9 +736,6 @@ class FigureExtractUDF:
     empty-alt tracking pixels and caption-less or image-less figures
     never extract — the pair-mining rule a CLIP-style corpus builder
     applies. The key parses from the src path digits."""
-
-    def __init__(self):
-        pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element
@@ -874,9 +852,6 @@ class JsonLdExtractUDF:
     ``application/ld+json`` (ASCII-lowercased — attribute VALUES keep
     case, so the compare normalizes), json.loads its RAWTEXT content,
     and emit the Product leaf fields. The key parses from the sku."""
-
-    def __init__(self):
-        pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import json
@@ -1004,9 +979,6 @@ class FormExtractUDF:
     (leading LF already parser-dropped, references decoded, literal
     markup kept). The key parses from the form's ``id``."""
 
-    def __init__(self):
-        pass
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element
         from ..html.parser import parse
@@ -1119,9 +1091,6 @@ class DlExtractUDF:
     if the parser nested the unclosed elements, every definition
     would swallow the rest of the list."""
 
-    def __init__(self):
-        pass
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element
         from ..html.parser import parse
@@ -1221,9 +1190,6 @@ class FormattingExtractUDF:
     ancestor / neither), in document order. The misnested styles only
     classify correctly if the adoption agency reparented the split
     ``<i>`` — making AAA observable in the graded value."""
-
-    def __init__(self):
-        pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element, Text
@@ -1329,9 +1295,6 @@ class FosterExtractUDF:
     table's preceding text siblings (concatenated) and its first
     ``<td>``'s text. In the misplaced styles the note only lands
     before the table if foster parenting ran."""
-
-    def __init__(self):
-        pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element, Text
@@ -1447,9 +1410,6 @@ class SvgExtractUDF:
     ``foreignObject`` element name — lowercase/uppercase source styles
     only extract if the foreign-content adjustment ran."""
 
-    def __init__(self):
-        pass
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element
         from ..html.parser import parse
@@ -1557,9 +1517,6 @@ class TemplateExtractUDF:
     contents (which live in ITS ``content`` fragment) are excluded
     automatically — exactly the WHATWG containment contract."""
 
-    def __init__(self):
-        pass
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element, TemplateElement
         from ..html.parser import parse
@@ -1635,9 +1592,6 @@ class RubyExtractUDF:
     ruby's ``<rb>`` child text and ``<rt>`` child text — SIBLINGS only
     if the ruby implied end tags ran (a parser nesting the unclosed
     ``<rb>`` would swallow the annotation into the base)."""
-
-    def __init__(self):
-        pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..html.dom import Element

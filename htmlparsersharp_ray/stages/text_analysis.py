@@ -3,8 +3,10 @@
 Training-data quality ops: language-ID (stopword/n-gram heuristic),
 quality scoring (length/punct/stopword ratios), token counting
 (whitespace + BPE-ish regex), and rolling-hash document fingerprints.
-All vectorized (pandas .str / numpy) or per-row C calls; stateful setup
-(compiled regexes, stopword tables) lives in actor __init__.
+All vectorized (pandas .str / numpy) or per-row C calls; setup
+(compiled regexes, stopword tables) lives in the UDF's __init__, and the
+instance runs as Ray Data tasks (only ModelScoreUDF and Recount, which
+fetch broadcast state, run as actors).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pyarrow as pa
 import ray.data
 
 # tiny per-language stopword profiles (deterministic; good enough for the
-# synthetic corpus and for demonstrating the actor-pool shape)
+# synthetic corpus)
 _STOPWORDS = {
     "en": {"the", "a", "of", "and", "to", "in", "is", "that", "it", "for"},
     "de": {"der", "die", "das", "und", "ist", "ein", "zu", "mit", "auf", "für"},
@@ -72,7 +74,7 @@ class LangIdUDF:
 
 def langid(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(
-        LangIdUDF, batch_format="pandas", batch_size=2048, concurrency=(1, 2)
+        LangIdUDF(), batch_format="pandas", batch_size=2048
     )
 
 
@@ -109,7 +111,7 @@ class QualityUDF:
 
 def quality_scores(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(
-        QualityUDF, batch_format="pandas", batch_size=2048, concurrency=(1, 2)
+        QualityUDF(), batch_format="pandas", batch_size=2048
     )
 
 
@@ -136,7 +138,7 @@ class TokenCountUDF:
 
 def token_counts(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(
-        TokenCountUDF, batch_format="pandas", batch_size=2048, concurrency=(1, 2)
+        TokenCountUDF(), batch_format="pandas", batch_size=2048
     )
 
 
@@ -144,7 +146,7 @@ class RedactUDF:
     """PII-shaped regex scrub: replace every match of a pattern list
     with a placeholder and count the redactions per document. Patterns
     apply IN ORDER (a later pattern sees earlier placeholders), exactly
-    like a nested SQL regexp_replace. Compiled once per actor; the
+    like a nested SQL regexp_replace. Compiled once per instance; the
     replace/count themselves are pandas .str C loops over the batch.
     Patterns must stay in the RE2 ∩ Python-re common subset (no
     backrefs / lookaround) so the DuckDB oracle is exact."""
@@ -180,8 +182,8 @@ REDACT_PATTERNS = (
 def redact(docs: ray.data.Dataset,
            patterns=REDACT_PATTERNS, repl: str = "<X>") -> ray.data.Dataset:
     return docs.map_batches(
-        RedactUDF, fn_constructor_kwargs={"patterns": patterns, "repl": repl},
-        batch_format="pandas", batch_size=2048, concurrency=(1, 2),
+        RedactUDF(patterns=patterns, repl=repl),
+        batch_format="pandas", batch_size=2048,
     )
 
 
@@ -218,7 +220,7 @@ class FingerprintUDF:
 
 def fingerprints(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(
-        FingerprintUDF, batch_format="pyarrow", batch_size=2048, concurrency=(1, 2)
+        FingerprintUDF(), batch_format="pyarrow", batch_size=2048
     )
 
 
@@ -261,8 +263,7 @@ class FingerprintFastUDF:
 
 def fingerprints_fast(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(
-        FingerprintFastUDF, batch_format="pyarrow", batch_size=2048,
-        concurrency=(1, 2)
+        FingerprintFastUDF(), batch_format="pyarrow", batch_size=2048
     )
 
 
@@ -315,7 +316,7 @@ class RepetitionUDF:
 
 def repetition_signals(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(
-        RepetitionUDF, batch_format="pandas", batch_size=2048, concurrency=(1, 2)
+        RepetitionUDF(), batch_format="pandas", batch_size=2048
     )
 
 
@@ -853,8 +854,8 @@ SENTENCE_SPLIT_PATTERN = "[.!?]+[ \t\r\n]+"
 
 class SentenceStatsUDF:
     """Per-document sentence segmentation stats: sentence count and the
-    longest sentence's char length. Regex compiled once per actor; the
-    split is per-doc C regex work (string segmentation has no
+    longest sentence's char length. Regex compiled once per instance;
+    the split is per-doc C regex work (string segmentation has no
     columnar kernel), everything after is O(#sentences)."""
 
     def __init__(self):
@@ -880,8 +881,7 @@ class SentenceStatsUDF:
 
 def sentence_stats(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(
-        SentenceStatsUDF, batch_format="pandas", batch_size=2048,
-        concurrency=(1, 2),
+        SentenceStatsUDF(), batch_format="pandas", batch_size=2048,
     )
 
 
@@ -927,10 +927,18 @@ def readability(docs: ray.data.Dataset) -> ray.data.Dataset:
 # --- TextRank extractive summarization --------------------------------------
 TEXTRANK_SCALE = 1_000_000
 TEXTRANK_WORD_RE = r"[a-z0-9]+"
+# rank update r' = TEXTRANK_BASE + (TEXTRANK_DAMPING_PCT·Σ…) // 100,
+# TEXTRANK_ITERS rounds over at most TEXTRANK_MAX_SENTENCES sentences;
+# the DuckDB oracle imports all of these
+TEXTRANK_BASE = 150_000
+TEXTRANK_DAMPING_PCT = 85
+TEXTRANK_ITERS = 20
+TEXTRANK_MAX_SENTENCES = 64
 
 
-def textrank_pick(sentences: list[str], iters: int = 20,
-                  max_sentences: int = 64) -> tuple[int, int]:
+def textrank_pick(sentences: list[str], iters: int = TEXTRANK_ITERS,
+                  max_sentences: int = TEXTRANK_MAX_SENTENCES
+                  ) -> tuple[int, int]:
     """Pick the central sentence of ONE document by integer fixed-point
     TextRank: edge weight = distinct-word overlap count (integer),
     rank update r' = 0.15·SCALE + (85·Σ_j w_ij·r_j // s_j) // 100 with
@@ -966,19 +974,20 @@ def textrank_pick(sentences: list[str], iters: int = 20,
     for _ in range(iters):
         # per-edge floor division, damping applied after the full sum
         contrib = (w * (r // safe_s)[None, :]).sum(axis=1)
-        r = 150_000 + (85 * contrib) // 100
+        r = TEXTRANK_BASE + (TEXTRANK_DAMPING_PCT * contrib) // 100
     best = int(np.argmax(r))  # argmax takes the FIRST max: smaller idx
     return best, int(r[best])
 
 
 class TextRankUDF:
-    """Actor-pool map: sentence-split each doc (the shared
+    """Map stage: sentence-split each doc (the shared
     SENTENCE_SPLIT_PATTERN boundary), run integer TextRank, emit the
-    chosen summary sentence. Regex compiled once per actor; the
+    chosen summary sentence. Regex compiled once per instance; the
     per-doc loop wraps pure numpy matrix work (per-doc graphs are
     independent, so the op is embarrassingly parallel)."""
 
-    def __init__(self, iters: int = 20, max_sentences: int = 64):
+    def __init__(self, iters: int = TEXTRANK_ITERS,
+                 max_sentences: int = TEXTRANK_MAX_SENTENCES):
         self.split = re.compile(SENTENCE_SPLIT_PATTERN)
         self.iters = iters
         self.max_sentences = max_sentences
@@ -1007,13 +1016,12 @@ class TextRankUDF:
         })
 
 
-def textrank_summaries(docs: ray.data.Dataset, iters: int = 20,
-                       max_sentences: int = 64) -> ray.data.Dataset:
+def textrank_summaries(docs: ray.data.Dataset, iters: int = TEXTRANK_ITERS,
+                       max_sentences: int = TEXTRANK_MAX_SENTENCES
+                       ) -> ray.data.Dataset:
     return docs.map_batches(
-        TextRankUDF,
-        fn_constructor_kwargs={"iters": iters,
-                               "max_sentences": max_sentences},
-        batch_format="pyarrow", batch_size=256, concurrency=(1, 4))
+        TextRankUDF(iters=iters, max_sentences=max_sentences),
+        batch_format="pyarrow", batch_size=256)
 
 
 class CompressibilityUDF:
@@ -1053,5 +1061,5 @@ class CompressibilityUDF:
 def compressibility(docs: ray.data.Dataset) -> ray.data.Dataset:
     """Compression-ratio table for every document (see
     :class:`CompressibilityUDF`)."""
-    return docs.map_batches(CompressibilityUDF, batch_format="pyarrow",
-                            batch_size=2048, concurrency=(1, 2))
+    return docs.map_batches(CompressibilityUDF(), batch_format="pyarrow",
+                            batch_size=2048)

@@ -559,8 +559,8 @@ class TestTurnsCurate:
         from htmlparsersharp_ray.stages.parse_stage import HtmlExtractUDF
 
         ds = ray.data.from_arrow(_synth_curation_transcripts(100))
-        ext = ds.map_batches(HtmlExtractUDF, batch_format="pyarrow",
-                             batch_size=64, concurrency=(1, 2))
+        ext = ds.map_batches(HtmlExtractUDF(), batch_format="pyarrow",
+                             batch_size=64)
         ids = turns_to_docs(ext).to_pandas()["doc_id"]
         assert ids.is_unique and (ids >= 0).all() and len(ids) == 700
 

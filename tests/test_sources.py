@@ -116,8 +116,8 @@ class TestHtmlDir:
         write_html_dir(small, str(tmp_path / "html"))
 
         def run(ds):
-            out = ds.map_batches(HtmlExtractUDF, batch_format="pyarrow",
-                                 batch_size=64, concurrency=(1, 2))
+            out = ds.map_batches(HtmlExtractUDF(), batch_format="pyarrow",
+                                 batch_size=64, concurrency=2)
             return (out.to_pandas()[["conv_id", "extracted_text"]]
                     .sort_values("conv_id").reset_index(drop=True))
 

@@ -116,9 +116,9 @@ def test_media_features_deterministic(ray_session):
     )
 
     ds = ray.data.from_arrow(synth_media_table(20))
-    out1 = ds.map_batches(MediaFeatureUDF, batch_format="pyarrow",
+    out1 = ds.map_batches(MediaFeatureUDF(), batch_format="pyarrow",
                           batch_size=8, concurrency=2).to_pandas()
-    out2 = ds.map_batches(MediaFeatureUDF, batch_format="pyarrow",
+    out2 = ds.map_batches(MediaFeatureUDF(), batch_format="pyarrow",
                           batch_size=4, concurrency=1).to_pandas()
     a = out1.sort_values("media_id").reset_index(drop=True)
     b = out2.sort_values("media_id").reset_index(drop=True)
@@ -188,10 +188,10 @@ def test_media_resize_and_frames(ray_session):
     )
 
     ds = ray.data.from_arrow(synth_media_table(12))
-    resized = ds.map_batches(ImageResizeUDF, batch_format="pyarrow",
+    resized = ds.map_batches(ImageResizeUDF(), batch_format="pyarrow",
                              batch_size=4, concurrency=1).to_pandas()
     assert (resized["meta"].map(lambda m: m["width"]) == 32).all()
-    frames = ds.map_batches(AudioFrameSampleUDF, batch_format="pyarrow",
+    frames = ds.map_batches(AudioFrameSampleUDF(), batch_format="pyarrow",
                             batch_size=4, concurrency=1).to_pandas()
     assert len(frames) == 12 * 4
     assert set(frames["frame_idx"]) == {0, 1, 2, 3}
@@ -227,7 +227,7 @@ def test_media_features_real_decode(ray_session):
     table = synth_media_table(6)
     out = (
         ray.data.from_arrow(table)
-        .map_batches(MediaFeatureUDF, fn_constructor_kwargs={"fake": False},
+        .map_batches(MediaFeatureUDF(fake=False),
                      batch_format="pyarrow", batch_size=2, concurrency=1)
         .to_pandas().set_index("media_id")
     )
@@ -253,7 +253,7 @@ def test_image_resize_real(ray_session):
         lambda t: t.filter(pc.equal(t.column("kind"), pa.scalar("image"))),
         batch_format="pyarrow",
     )
-    out = ds.map_batches(ImageResizeUDF, fn_constructor_kwargs={"fake": False, "width": 4, "height": 3},
+    out = ds.map_batches(ImageResizeUDF(fake=False, width=4, height=3),
                          batch_format="pyarrow", batch_size=4, concurrency=1).to_pandas()
     for p in out["payload"]:
         px = decode_ppm(bytes(p))
@@ -271,7 +271,7 @@ def test_audio_frames_real(ray_session):
         lambda t: t.filter(pc.equal(t.column("kind"), pa.scalar("audio"))),
         batch_format="pyarrow",
     )
-    out = ds.map_batches(AudioFrameSampleUDF, fn_constructor_kwargs={"fake": False},
+    out = ds.map_batches(AudioFrameSampleUDF(fake=False),
                          batch_format="pyarrow", batch_size=4, concurrency=1).to_pandas()
     assert len(out) == 4 * 4
     # real sine-mix clips have nonzero energy in every frame
@@ -493,7 +493,7 @@ def test_simhash_banded_equals_bruteforce_sf001(ray_session):
         pytest.skip("driver testdata not present")
     docs = ray.data.read_parquet(path)
     banded = simhash_pairs(docs, max_hamming=6)
-    sig = docs.map_batches(SimHashUDF, batch_format="pyarrow",
+    sig = docs.map_batches(SimHashUDF(), batch_format="pyarrow",
                            batch_size=512, concurrency=2).to_pandas()
     sig = sig.sort_values("doc_id").reset_index(drop=True)
     ids = sig["doc_id"].to_numpy()
@@ -1802,7 +1802,7 @@ def test_phash_planted_dups_and_differential(ray_session):
     planted = {(i - 1, i) for i in range(1, 100) if i % 5 == 1}
     assert planted <= got_set          # complete recall on planted dups
 
-    sig = ds.map_batches(ImagePHashUDF, batch_format="pyarrow",
+    sig = ds.map_batches(ImagePHashUDF(), batch_format="pyarrow",
                          batch_size=32, concurrency=2).to_pandas()
     sig = sig.sort_values("media_id").reset_index(drop=True)
     ids = sig["media_id"].to_numpy()
@@ -1960,7 +1960,7 @@ def test_audio_dups_planted_and_differential(ray_session):
     planted = {(i - 1, i) for i in range(1, 100) if i % 5 == 1}
     assert planted <= got_set
 
-    sig = ds.map_batches(AudioHashUDF, batch_format="pyarrow",
+    sig = ds.map_batches(AudioHashUDF(), batch_format="pyarrow",
                          batch_size=32, concurrency=2).to_pandas()
     sig = sig.sort_values("media_id").reset_index(drop=True)
     ids = sig["media_id"].to_numpy()
@@ -2304,8 +2304,8 @@ def test_media_meta_header_parity(ray_session):
 
     tab = synth_media_table(40)
     out = (ray.data.from_arrow(tab)
-           .map_batches(MediaMetaUDF, batch_format="pyarrow",
-                        batch_size=7, concurrency=(1, 2))
+           .map_batches(MediaMetaUDF(), batch_format="pyarrow",
+                        batch_size=7)
            .to_pandas().sort_values("media_id").reset_index(drop=True))
     payloads = tab.column("payload").to_pylist()
     for i, row in out.iterrows():

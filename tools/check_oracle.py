@@ -140,7 +140,7 @@ def _check(sf_dir, only):
             continue
         import gc
 
-        gc.collect()  # see bench.py: cycles pin object-store blocks
+        gc.collect()  # reference cycles pin object-store blocks
         t0 = time.time()
         try:
             result = to_pandas(fn(sf_dir))

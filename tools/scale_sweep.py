@@ -501,12 +501,8 @@ def main() -> int:
         media_files = [os.path.join(d, f) for f in sorted(os.listdir(d))
                        if f.endswith(".parquet")]
         ds = ray.data.read_parquet(media_files)
-        ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-        out = ds.map_batches(
-            MediaFeatureUDF, fn_constructor_kwargs={"fake": False},
-            batch_format="pyarrow", batch_size=256,
-            concurrency=(1, ncpu - max(1, ncpu // 6)),  # leave CPUs for IO
-        )
+        out = ds.map_batches(MediaFeatureUDF(fake=False),
+                             batch_format="pyarrow", batch_size=256)
         return out.count()  # consume distributed; never driver-collect
 
     run("kmeans_1m", kmeans_1m)
@@ -714,8 +710,8 @@ def main() -> int:
 
         nb = _TC_BLOCKS
         ds = ray.data.read_parquet(tc_path)
-        ext = ds.map_batches(HtmlExtractUDF, batch_format="pyarrow",
-                             batch_size=256, concurrency=(1, 8))
+        ext = ds.map_batches(HtmlExtractUDF(), batch_format="pyarrow",
+                             batch_size=256)
         out = curate(turns_to_docs(ext))
         row = out.iloc[0]
         assert (int(row.n_input), int(row.n_after_exact),
