@@ -6419,7 +6419,7 @@ def oracle_sql() -> dict[str, str]:
             WITH w AS (
               SELECT doc_id,
                      CASE WHEN trim(text) = '' THEN []::VARCHAR[]
-                          ELSE string_split_regex(trim(text), '\s+')
+                          ELSE string_split_regex(trim(text), '\\s+')
                      END AS ws
               FROM documents
             ), s AS (

@@ -3,8 +3,8 @@ fact-to-fact joins where NEITHER side fits a worker (VERDICT r1 item 1:
 every round-1 join broadcast the small side; this is the missing general
 case).
 
-Design (Ray-Data-native; generalizes the flagship pipeline's two-phase
-bucket exchange, extract_pipeline.py:97-215, without touching disk):
+Design (Ray-Data-native; the two-sided form of
+``stages/exchange.py::bucket_group_map``, whose key hash it shares):
 
   1. Each side maps its batches to compact exchange rows
      (bucket, side, blob) where ``blob`` is the Arrow-IPC-serialized
@@ -37,7 +37,10 @@ import pyarrow.ipc
 
 import ray.data
 
-from ..stages import hashing
+from ..stages.exchange import deserialize_table as _deserialize
+from ..stages.exchange import key_hash64
+from ..stages.exchange import serialize_table as _serialize
+from ..stages.exchange import split_sorted as _split_sorted
 
 _EXCHANGE_SCHEMA = pa.schema([
     ("bucket", pa.int64()),
@@ -48,38 +51,6 @@ _EXCHANGE_SCHEMA = pa.schema([
 # variant → bucket perturbation for hot-key salting (odd constant so every
 # variant lands in a distinct bucket stream)
 _SALT_STEP = np.uint64(0x9E3779B97F4A7C15)
-
-
-# IPC helpers + the single-input blob exchange live in stages/exchange.py
-# (shared with the dedup/text stages); re-exported here for callers that
-# think of them as join machinery.
-from ..stages.exchange import bucket_group_map  # noqa: F401  (re-export)
-from ..stages.exchange import deserialize_table as _deserialize
-from ..stages.exchange import serialize_table as _serialize
-from ..stages.exchange import split_sorted as _split_sorted
-
-
-def _key_hash64(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Deterministic pre-mod uint64 hash per key value, fully vectorized.
-    Int keys splitmix; string keys dictionary-encode then hash unique
-    values in one C pass. Nulls hash to a fixed slot — callers enforce
-    SQL null-join semantics by filtering (see hash_join)."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    if pa.types.is_integer(arr.type):
-        x = (arr.cast(pa.int64()).fill_null(0)
-             .to_numpy(zero_copy_only=False).astype(np.uint64))
-        return hashing.mix64(x)
-    enc = arr.dictionary_encode()
-    codes = (enc.indices.fill_null(0)
-             .to_numpy(zero_copy_only=False).astype(np.int64))
-    vals = np.asarray(
-        ["" if v is None else str(v) for v in enc.dictionary.to_pylist()],
-        dtype=object,
-    )
-    if len(vals) == 0:
-        return np.zeros(len(arr), dtype=np.uint64)
-    return hashing.hash_strings64(vals, categorize=False)[codes]
 
 
 def auto_buckets(
@@ -95,8 +66,8 @@ def auto_buckets(
     ~1 ms/group scheduling overhead (~4 s at 4096); inputs so large
     that 4096 buckets exceed worker heaps should pre-aggregate / prune
     columns before the join (q_join_shuffle's shape) or pass n_buckets
-    explicitly. Also the sizing rule for single-dataset bucketed
-    ``groupby().map_groups`` windows (sessions/as-of/lag)."""
+    explicitly. Also the sizing rule for single-dataset
+    ``exchange.bucket_group_map`` windows (sessions/as-of/lag)."""
     import math
     import os
 
@@ -140,7 +111,7 @@ def _to_exchange_rows(side: int, key: str, n_buckets: int,
                 null_blob = _serialize(batch.filter(pc.invert(valid)))
                 batch = batch.filter(valid)
                 col = batch.column(key)
-        h = _key_hash64(col)
+        h = key_hash64(col)
         idx = np.arange(batch.num_rows, dtype=np.int64)
         variants = np.zeros(batch.num_rows, dtype=np.uint64)
         if hot is not None:

@@ -24,6 +24,9 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min
 
+from ..stages.exchange import bucket_group_map, key_buckets, key_hash64
+from .joins import auto_buckets
+
 
 def _pysum_cols(df: pd.DataFrame, cols) -> pd.DataFrame:
     """Final-merge overflow guard (ADVICE r2): convert partial-sum
@@ -89,24 +92,17 @@ def _bitlen64(a):
     return out
 
 
-def _add_user_bucket(ds, n_buckets: int, col: str = "user_id"):
-    """Append an ``ub`` int64 key-hash bucket column — the shared
-    front half of every bucketed ``groupby().map_groups`` window op
-    (sessions / running-total / lag / as-of). ``n_buckets`` comes from
-    :func:`joins.auto_buckets` at the call sites so the per-group
-    working set tracks input size instead of a fixed 64."""
+def _high_bits(col: str, shift: int):
+    """``bucket_of`` for the sort-free rank scans: the high bits of the
+    int64 column ``col``. Buckets are globally ordered (an arithmetic
+    shift keeps order for negatives too), so each bucket's global rank
+    offset is the row count of the lower buckets."""
     import numpy as np
 
-    from ..stages import hashing
+    def bucket_of(t: pa.Table):
+        return t.column(col).to_numpy(zero_copy_only=False) >> np.int64(shift)
 
-    nb = np.uint64(n_buckets)
-
-    def add_ub(batch: pa.Table) -> pa.Table:
-        u = batch.column(col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        ub = (hashing.mix64(u) % nb).astype(np.int64)
-        return batch.append_column("ub", pa.array(ub))
-
-    return ds.map_batches(add_ub, batch_format="pyarrow")
+    return bucket_of
 
 
 def q_lineitem_agg(sf_dir: str):
@@ -401,9 +397,7 @@ def q_join_left(sf_dir: str):
     customer (per-batch partials, then ONE bounded-bucket merge) so the
     join input is customer-grained; count merges stay int64-exact (a
     per-customer order count can't approach the wrap point)."""
-    import numpy as np
 
-    from ..stages import hashing
     from .joins import hash_join
 
     cust = ray.data.read_parquet(_t(sf_dir, "customer"), columns=["c_custkey"])
@@ -411,22 +405,15 @@ def q_join_left(sf_dir: str):
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         return b.groupby("o_custkey", as_index=False).agg(cnt=("o_custkey", "count"))
 
-    def add_kb(batch: pa.Table) -> pa.Table:
-        k = batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.uint64)
-        kb = (hashing.mix64(k) % np.uint64(64)).astype(np.int64)
-        return batch.append_column("kb", pa.array(kb))
-
     def merge_counts(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("o_custkey", as_index=False)["cnt"].sum()
         out["cnt"] = out["cnt"].astype("int64")
         return out
 
-    counts = (
+    counts = bucket_group_map(
         ray.data.read_parquet(_t(sf_dir, "orders"), columns=["o_custkey"])
-        .map_batches(partial, batch_format="pandas")
-        .map_batches(add_kb, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(merge_counts, batch_format="pandas")
+        .map_batches(partial, batch_format="pandas"),
+        key_buckets("o_custkey", 64), merge_counts,
     )
     joined = hash_join(
         cust, counts, "c_custkey", "o_custkey", how="left",
@@ -456,12 +443,9 @@ def q_events_running_total(sf_dir: str):
     DECIMAL-window oracle."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_id", "ts", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def running(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -472,11 +456,9 @@ def q_events_running_total(sf_dir: str):
         )
         return g[["user_id", "event_id", "run_total"]]
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(running, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), running
+    ).to_pandas()
     return (
         out.sort_values(["user_id", "event_id"])
         .reset_index(drop=True)
@@ -590,13 +572,12 @@ def q_events_sessions(sf_dir: str):
     segment on gaps (ray_guide: streaming-shaped workloads; SURVEY.md §2
     custom operators). Deterministic tie-break on (ts, event_id).
 
-    Shuffle discipline: the groupby key is user_id-hash % 64 (Ray's
-    per-group overhead makes per-USER groups a scale bug — ~1 ms/group);
+    Shuffle discipline: users bucket by key hash
+    (``bucket_group_map`` + ``key_buckets``; Ray's per-group overhead
+    makes per-USER groups a scale bug — ~1 ms/group);
     inside a bucket the whole segmentation is vectorized pandas (sort,
     diff, cumsum, grouped agg — all C loops over every user at once)."""
     import numpy as np
-
-    from .joins import auto_buckets
 
     gap = pd.Timedelta(minutes=30)
     ds = ray.data.read_parquet(
@@ -605,13 +586,6 @@ def q_events_sessions(sf_dir: str):
     # auto-size like hash_join: bucket working set ≤ a worker heap
     # (NOTES_r3 round-4 lead 4), from file metadata only
     n_buckets = auto_buckets(ds)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype("int64")
-        h = (uid.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return batch.append_column(
-            "ub", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def sessions(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts", "event_id"])
@@ -634,11 +608,7 @@ def q_events_sessions(sf_dir: str):
         out["sum_value"] = out.pop("value_c") / 100.0
         return out[["user_id", "session_start", "n_events", "sum_value"]]
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(sessions, batch_format="pandas")
-    )
+    out = bucket_group_map(ds, key_buckets("user_id", n_buckets), sessions)
     return (
         out.to_pandas()
         .sort_values(["user_id", "session_start"])
@@ -699,8 +669,8 @@ def q_order_revenue_top10(sf_dir: str):
     High-cardinality aggregate done scale-correctly: (1) per-batch partial
     sums in EXACT scaled int64 (1e-4 currency units — order-insensitive, so
     parallel merges can't perturb bits; see q_lineitem_agg), (2) a bucketed
-    parallel merge (groupby on a derived key-hash bucket, per-bucket final
-    sum + partial top-10), (3) one tiny driver-side merge of n_buckets*10
+    parallel merge (``bucket_group_map`` on the order-key hash, per-bucket
+    final sum + partial top-10), (3) one tiny driver-side merge of n_buckets*10
     candidates. Replaces round-1's single-task ``repartition(1)`` merge
     (VERDICT item 7). Ray's groupby().aggregate() costs ~1 ms PER GROUP
     (measured 16 s for 15k groups) — hence pandas partials, not Ray Sum.
@@ -720,7 +690,6 @@ def q_order_revenue_top10(sf_dir: str):
         g = pd.DataFrame(
             {"l_orderkey": b["l_orderkey"], "rev_u": pr_c * (100 - di_c)}
         ).groupby("l_orderkey", as_index=False)["rev_u"].sum()
-        g["bucket"] = (g["l_orderkey"].to_numpy() % n_buckets).astype("int64")
         return g
 
     def bucket_merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -733,12 +702,10 @@ def q_order_revenue_top10(sf_dir: str):
             ["revenue", "l_orderkey"], ascending=[False, True]
         ).head(10)
 
-    cand = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("l_orderkey", n_buckets), bucket_merge,
+    ).to_pandas()
     out = (
         cand.sort_values(["revenue", "l_orderkey"], ascending=[False, True])
         .head(10)
@@ -816,12 +783,6 @@ def q_join_shuffle(sf_dir: str):
         li, building_orders, left_on="l_orderkey", right_on="o_orderkey"
     )
 
-    n_buckets = 16
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["bucket"] = (df["l_orderkey"].to_numpy() % n_buckets).astype("int64")
-        return df
-
     def bucket_merge(g: pd.DataFrame) -> pd.DataFrame:
         # per-order sum: bounded fan-in, int64-exact (see
         # q_order_revenue_top10.bucket_merge)
@@ -833,12 +794,9 @@ def q_join_shuffle(sf_dir: str):
             ["revenue", "l_orderkey"], ascending=[False, True]
         ).head(10)
 
-    cand = (
-        joined.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = bucket_group_map(
+        joined, key_buckets("l_orderkey", 16), bucket_merge
+    ).to_pandas()
     out = (
         cand.sort_values(["revenue", "l_orderkey"], ascending=[False, True])
         .head(10)
@@ -892,23 +850,16 @@ def q_events_asof(sf_dir: str):
     bucket worker (same as q_events_sessions)."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "event_type", "ts"]
     )
-    nb = np.uint64(auto_buckets(ds))
 
     def pre(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(
             batch.column("event_type"),
             value_set=pa.array(["view", "purchase"]),
         )
-        t = batch.filter(mask)
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        ub = (hashing.mix64(u) % nb).astype(np.int64)
-        return t.append_column("ub", pa.array(ub))
+        return batch.filter(mask)
 
     def asof(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -938,12 +889,10 @@ def q_events_asof(sf_dir: str):
         out["gap_us"] = np.where(valid, gap, -1)[keep].astype("int64")
         return out
 
-    out = (
-        ds.map_batches(pre, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(asof, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(pre, batch_format="pyarrow"),
+        key_buckets("user_id", auto_buckets(ds)), asof,
+    ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -955,12 +904,9 @@ def q_events_lag(sf_dir: str):
     user-boundary mask."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "ts"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def lag(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -971,11 +917,9 @@ def q_events_lag(sf_dir: str):
         g["gap_us"] = np.where(same_user, gap, -1).astype("int64")
         return g[["event_id", "user_id", "gap_us"]]
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(lag, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), lag
+    ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -987,22 +931,10 @@ def q_event_user_distinct(sf_dir: str):
     one group never sees more than users/64 — a hot event_type cannot
     skew a bucket), and per-bucket distinct counts sum to the answer
     because user-buckets partition the pair space."""
-    import numpy as np
-
-    from ..stages import hashing
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_type", "user_id"]
     )
-    nb = np.uint64(auto_buckets(ds))
-
-    def pair_partial(b: pd.DataFrame) -> pd.DataFrame:
-        p = b.drop_duplicates()
-        u = p["user_id"].to_numpy().astype(np.uint64)
-        p = p.assign(ub=(hashing.mix64(u) % nb).astype(np.int64))
-        return p
-
     def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["event_type", "user_id"])
         out = d.groupby("event_type", as_index=False).agg(
@@ -1010,12 +942,10 @@ def q_event_user_distinct(sf_dir: str):
         )
         return out
 
-    parts = (
-        ds.map_batches(pair_partial, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(bucket_count, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds.map_batches(lambda b: b.drop_duplicates(), batch_format="pandas"),
+        key_buckets("user_id", auto_buckets(ds)), bucket_count,
+    ).to_pandas()
     df = (
         parts.groupby("event_type", as_index=False)["n_users"].sum()
         .sort_values("event_type")
@@ -1213,12 +1143,10 @@ def q_events_rank(sf_dir: str):
     kernels over every user at once — never a per-user group). Ties in
     the raw double `value` share rank/dense_rank exactly as SQL does;
     row_number breaks them on event_id."""
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def ranks(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -1232,11 +1160,8 @@ def q_events_rank(sf_dir: str):
             method="dense", ascending=False).astype("int64")
         return g[["event_id", "user_id", "rn", "rnk", "drnk"]]
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(ranks, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), ranks).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -1393,12 +1318,9 @@ def q_events_moving_avg(sf_dir: str):
     reproduces bit-for-bit."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def win(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -1420,11 +1342,8 @@ def q_events_moving_avg(sf_dir: str):
             }
         )
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(win, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), win).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -1440,8 +1359,6 @@ def q_key_set_ops(sf_dir: str):
     its key range's distinct keys."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     supp = ray.data.read_parquet(_t(sf_dir, "supplier"), columns=["s_suppkey"])
     cust = ray.data.read_parquet(_t(sf_dir, "customer"), columns=["c_custkey"])
     nb = max(auto_buckets(supp), auto_buckets(cust))
@@ -1452,7 +1369,6 @@ def q_key_set_ops(sf_dir: str):
             return pd.DataFrame({
                 "key": keys.astype("int64"),
                 "bits": np.full(len(keys), bit, dtype=np.int64),
-                "kb": (keys % nb).astype("int64"),
             })
         return f
 
@@ -1474,7 +1390,7 @@ def q_key_set_ops(sf_dir: str):
             "n_cust_only": [int((bits == 2).sum())],
         })
 
-    parts = tagged.groupby("kb").map_groups(combine, batch_format="pandas").to_pandas()
+    parts = bucket_group_map(tagged, key_buckets("key", nb), combine).to_pandas()
     out = pd.DataFrame({
         "n_intersect": [int(parts["n_intersect"].sum())],
         "n_supp_only": [int(parts["n_supp_only"].sum())],
@@ -1492,12 +1408,10 @@ def q_events_first_last(sf_dir: str):
     ops: ONE pandas sort + grouped first/last (C kernels) per
     user-hash bucket; raw double values pass through untouched, so
     equality vs the SQL window oracle is exact."""
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def fl(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -1516,11 +1430,8 @@ def q_events_first_last(sf_dir: str):
             "n_events": n.reindex(first.index).astype("int64").to_numpy(),
         })
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(fl, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), fl).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -1608,29 +1519,25 @@ def q_docs_shuffle(sf_dir: str):
         offsets[i] = run
         run += per_bucket[i]
 
-    def add_bucket(batch: pa.Table) -> pd.DataFrame:
+    def add_hash(batch: pa.Table) -> pd.DataFrame:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        hs = md5s(ids)
-        return pd.DataFrame({
-            "doc_id": ids.astype("int64"),
-            "h": hs,
-            "hb": np.array([int(h[:2], 16) for h in hs], dtype=np.int64),
-        })
+        return pd.DataFrame({"doc_id": ids.astype("int64"), "h": md5s(ids)})
+
+    def hash_byte(t: pa.Table) -> np.ndarray:
+        return np.array([int(h[:2], 16) for h in t.column("h").to_pylist()],
+                        dtype=np.int64)
 
     def rank(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["h", "doc_id"]).reset_index(drop=True)
-        base = offsets[int(g["hb"].iloc[0])]
+        base = offsets[int(g["h"].iloc[0][:2], 16)]
         return pd.DataFrame({
             "doc_id": g["doc_id"].astype("int64"),
             "pos": (base + np.arange(len(g))).astype("int64"),
         })
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(rank, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(add_hash, batch_format="pyarrow"), hash_byte, rank
+    ).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1831,13 +1738,10 @@ def q_events_ntile(sf_dir: str):
     never a per-user group."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     K = 4
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "ts"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def ntiles(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -1867,11 +1771,8 @@ def q_events_ntile(sf_dir: str):
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(ntiles, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), ntiles).to_pandas()
     return out.sort_values(["user_id", "tile"]).reset_index(drop=True)
 
 
@@ -1980,8 +1881,7 @@ def q_join_full(sf_dir: str):
     string column so the generic single-key exchange applies."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets, hash_join
+    from .joins import hash_join
 
     def side(event_type: str, cname: str):
         ds = ray.data.read_parquet(
@@ -2003,23 +1903,14 @@ def q_join_full(sf_dir: str):
             })
             return d.groupby("ukey", as_index=False).sum()
 
-        def add_kb(batch: pa.Table) -> pa.Table:
-            # ukey is never null here (built from non-null user_id/ts)
-            keys = np.asarray(batch.column("ukey").to_pylist(), dtype=object)
-            kb = (hashing.hash_strings64(keys, categorize=False)
-                  % np.uint64(nb)).astype(np.int64)
-            return batch.append_column("kb", pa.array(kb))
-
         def merge(g: pd.DataFrame) -> pd.DataFrame:
             out = g.groupby("ukey", as_index=False)[cname].sum()
             out[cname] = out[cname].astype("int64")
             return out
 
-        return (
-            ds.map_batches(partial, batch_format="pandas")
-            .map_batches(add_kb, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(merge, batch_format="pandas")
+        return bucket_group_map(
+            ds.map_batches(partial, batch_format="pandas"),
+            key_buckets("ukey", nb), merge,
         )
 
     sch = lambda c: pa.schema([("ukey", pa.string()), (c, pa.int64())])
@@ -2047,12 +1938,9 @@ def q_events_pct_rank(sf_dir: str):
     bitwise. n=1 partitions define percent_rank = 0 like SQL."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def ranks(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "value"], ascending=[True, False]
@@ -2065,11 +1953,8 @@ def q_events_pct_rank(sf_dir: str):
         g["cume_dist"] = rmax / n
         return g[["event_id", "user_id", "pct_rank", "cume_dist"]]
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(ranks, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), ranks).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -2318,14 +2203,11 @@ def q_events_range_frame(sf_dir: str):
     the only float op is the final /100.0."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     HOUR = 3_600_000_000  # µs
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def win(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -2361,11 +2243,8 @@ def q_events_range_frame(sf_dir: str):
             "n_in_frame": (hi - lo).astype("int64"),
         })
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(win, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), win).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -2441,12 +2320,9 @@ def q_events_transitions(sf_dir: str):
     ≤ |types|² rows per bucket."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "ts", "event_type"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -2463,11 +2339,8 @@ def q_events_transitions(sf_dir: str):
         out = d.groupby(["prev_type", "event_type"], as_index=False).size()
         return out.rename(columns={"size": "n"})
 
-    parts = (
-        bucketed.groupby("ub")
-        .map_groups(pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), pairs).to_pandas()
     out = parts.groupby(["prev_type", "event_type"], as_index=False)["n"].sum()
     out["n"] = out["n"].astype("int64")
     return (
@@ -2483,13 +2356,11 @@ def q_events_latest(sf_dir: str):
     bucket; inside the bucket ONE sort + a duplicated() mask picks the
     survivors (no per-key group). Output rows are carried verbatim, so
     the result is hash-exact against the SQL row_number()=1 oracle."""
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"),
         columns=["event_id", "user_id", "ts", "event_type", "value"],
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def latest(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "event_type", "ts", "event_id"])
@@ -2498,11 +2369,8 @@ def q_events_latest(sf_dir: str):
         out["ts_us"] = g.loc[keep, "ts"].astype("int64")
         return out[["event_id", "user_id", "event_type", "ts_us", "value"]]
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(latest, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), latest).to_pandas()
     return out.sort_values(["user_id", "event_type"]).reset_index(drop=True)
 
 
@@ -2514,12 +2382,10 @@ def q_events_retention(sf_dir: str):
     per-bucket distinct (cohort, offset, user) counts are additive
     across buckets (user sets are disjoint by construction). The
     exchange is bounded by buckets × |cohorts|² rows."""
-    from .joins import auto_buckets
 
     WEEK_US = 7 * 86400 * 10**6
 
     ds = ray.data.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def ret(g: pd.DataFrame) -> pd.DataFrame:
         wk = g["ts"].astype("int64").to_numpy() // WEEK_US
@@ -2534,11 +2400,8 @@ def q_events_retention(sf_dir: str):
             n_users=("u", "count")
         )
 
-    parts = (
-        bucketed.groupby("ub")
-        .map_groups(ret, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), ret).to_pandas()
     out = parts.groupby(["cohort_week", "week_offset"], as_index=False)[
         "n_users"
     ].sum()
@@ -2557,14 +2420,11 @@ def q_events_funnel(sf_dir: str):
     stage counts are additive across disjoint user buckets."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     STEPS = ("signup", "view", "click")
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "ts", "event_type"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def funnel(g: pd.DataFrame) -> pd.DataFrame:
         ts = g["ts"].astype("int64").to_numpy()
@@ -2589,11 +2449,8 @@ def q_events_funnel(sf_dir: str):
             "n_users": np.array(counts, dtype=np.int64),
         })
 
-    parts = (
-        bucketed.groupby("ub")
-        .map_groups(funnel, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), funnel).to_pandas()
     out = parts.groupby("stage", as_index=False)["n_users"].sum()
     out["n_users"] = out["n_users"].astype("int64")
     return out.sort_values("stage").reset_index(drop=True)
@@ -2748,12 +2605,9 @@ def q_events_rolling_median(sf_dir: str):
     op, mirrored in the oracle."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def med(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -2781,11 +2635,8 @@ def q_events_rolling_median(sf_dir: str):
             "n_in_frame": c.astype("int64"),
         })
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(med, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), med).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -2850,18 +2701,9 @@ def q_events_assoc_rules(sf_dir: str, min_support: int = 5):
     DuckDB oracle agrees bitwise."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type"]
     )
-    nb = np.uint64(auto_buckets(ds))
-
-    def distinct_tag(b: pd.DataFrame) -> pd.DataFrame:
-        d = b.drop_duplicates()
-        u = d["user_id"].to_numpy().astype(np.uint64)
-        return d.assign(ub=(hashing.mix64(u) % nb).astype(np.int64))
 
     def partials(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["user_id", "event_type"])[
@@ -2889,12 +2731,10 @@ def q_events_assoc_rules(sf_dir: str, min_support: int = 5):
         r["n"] = r["n"].astype("int64")
         return r
 
-    parts = (
-        ds.map_batches(distinct_tag, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(partials, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds.map_batches(lambda b: b.drop_duplicates(), batch_format="pandas"),
+        key_buckets("user_id", auto_buckets(ds)), partials,
+    ).to_pandas()
     sums = parts.groupby(["kind", "key_a", "key_b"], as_index=False)[
         "n"].sum()
     n_users = int(sums.loc[sums["kind"] == 0, "n"].sum())
@@ -2930,20 +2770,10 @@ def q_events_cooccurrence(sf_dir: str):
     user's types, and inside the bucket a vectorized self-merge emits
     the ≤ |types|² pair counts. Partials are additive because user
     sets are disjoint across buckets."""
-    import numpy as np
-
-    from ..stages import hashing
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type"]
     )
-    nb = np.uint64(auto_buckets(ds))
-
-    def distinct_tag(b: pd.DataFrame) -> pd.DataFrame:
-        d = b.drop_duplicates()
-        u = d["user_id"].to_numpy().astype(np.uint64)
-        return d.assign(ub=(hashing.mix64(u) % nb).astype(np.int64))
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["user_id", "event_type"])[
@@ -2958,12 +2788,10 @@ def q_events_cooccurrence(sf_dir: str):
             "event_type_a": "type_a", "event_type_b": "type_b", "size": "n",
         })
 
-    parts = (
-        ds.map_batches(distinct_tag, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds.map_batches(lambda b: b.drop_duplicates(), batch_format="pandas"),
+        key_buckets("user_id", auto_buckets(ds)), pairs,
+    ).to_pandas()
     out = parts.groupby(["type_a", "type_b"], as_index=False)["n"].sum()
     out["n_users"] = out.pop("n").astype("int64")
     return out.sort_values(["type_a", "type_b"]).reset_index(drop=True)
@@ -3197,36 +3025,26 @@ def q_docs_source_cap(sf_dir: str):
     oracle-pinned); the bucket hash is batch-vectorized."""
     import hashlib
 
-    import numpy as np
-
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     K = 10
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "source"]
     )
-    nb = int(auto_buckets(ds))
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         h = [hashlib.md5(str(int(i)).encode()).hexdigest()
              for i in b["doc_id"]]
-        sb = (hashing.hash_strings64(b["source"].to_numpy())
-              % np.uint64(nb)).astype(np.int64)
-        return b.assign(h=h, sb=sb)
+        return b.assign(h=h)
 
     def cap(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["source", "h", "doc_id"])
         keep = g.groupby("source", sort=False).cumcount() < K
         return g.loc[keep, ["doc_id", "source"]]
 
-    out = (
-        ds.map_batches(tag, batch_format="pandas")
-        .groupby("sb")
-        .map_groups(cap, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(tag, batch_format="pandas"),
+        key_buckets("source", auto_buckets(ds)), cap,
+    ).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -3239,12 +3057,9 @@ def q_events_dedup_consecutive(sf_dir: str):
     of aggregating); survivors are carried verbatim."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "user_id", "ts", "event_type"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def debounce(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -3259,11 +3074,8 @@ def q_events_dedup_consecutive(sf_dir: str):
         keep = ~(same_user & same_type)
         return g.loc[keep, ["event_id", "user_id", "event_type"]]
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(debounce, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), debounce).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -3337,8 +3149,6 @@ def _fuzzy_name_pairs(names, K: int, nb: int, carry: str | None = None):
 
     from ..stages import hashing
 
-    nbu = np.uint64(nb)
-
     def emit_variants(b: pd.DataFrame) -> pd.DataFrame:
         # vectorized deletion neighborhoods: per LENGTH group, each of
         # the C(L,1)+C(L,2) deletion masks is ONE numpy column-select
@@ -3387,9 +3197,7 @@ def _fuzzy_name_pairs(names, K: int, nb: int, carry: str | None = None):
             hashing.hash_strings64(
                 allv["v"].to_numpy().astype(object), categorize=False)
         ).view(np.int64)
-        # vb = coarse vh bucket so one Ray group holds many variants
-        out = {"p_name": allv["p_name"].to_numpy(), "vh": vh,
-               "vb": (vh.view(np.uint64) % nbu).astype(np.int64)}
+        out = {"p_name": allv["p_name"].to_numpy(), "vh": vh}
         if carry:
             out[carry] = allv[carry].to_numpy()
         return pd.DataFrame(out)
@@ -3404,8 +3212,7 @@ def _fuzzy_name_pairs(names, K: int, nb: int, carry: str | None = None):
         nm = g["p_name"].to_numpy()
         n = len(g)
         ecols = {"name_a": pd.Series([], dtype=object),
-                 "name_b": pd.Series([], dtype=object),
-                 "pb": pd.Series([], dtype=np.int64)}
+                 "name_b": pd.Series([], dtype=object)}
         if carry:
             ecols[f"{carry}_a"] = pd.Series([], dtype=np.int64)
             ecols[f"{carry}_b"] = pd.Series([], dtype=np.int64)
@@ -3427,14 +3234,7 @@ def _fuzzy_name_pairs(names, K: int, nb: int, carry: str | None = None):
             return empty
         ia = np.concatenate(idx_a)
         ib = np.concatenate(idx_b)
-        a, bb = nm[ia], nm[ib]
-        ph = hashing.mix64(
-            hashing.hash_strings64(a)
-            * np.uint64(0x9E3779B97F4A7C15)
-            + hashing.hash_strings64(bb)
-        )
-        out = {"name_a": a, "name_b": bb,
-               "pb": (ph % nbu).astype(np.int64)}
+        out = {"name_a": nm[ia], "name_b": nm[ib]}
         if carry:
             cv = g[carry].to_numpy()
             out[f"{carry}_a"] = cv[ia]
@@ -3451,13 +3251,13 @@ def _fuzzy_name_pairs(names, K: int, nb: int, carry: str | None = None):
             cols += [f"{carry}_a", f"{carry}_b"]
         return g.loc[g["dist"] <= K, cols]
 
-    return (
-        names.map_batches(emit_variants, batch_format="pandas")
-        .groupby("vb")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .groupby("pb")
-        .map_groups(dedup_verify, batch_format="pandas")
+    # one bucket holds many variants (vh) and, after pairing, every
+    # copy of a candidate pair (all copies share name_a)
+    pairs = bucket_group_map(
+        names.map_batches(emit_variants, batch_format="pandas"),
+        key_buckets("vh", nb), pairs_in_bucket,
     )
+    return bucket_group_map(pairs, key_buckets("name_a", nb), dedup_verify)
 
 
 def q_part_fuzzy_pairs(sf_dir: str):
@@ -3479,27 +3279,18 @@ def q_part_fuzzy_pairs(sf_dir: str):
     (quadratic — sf0.01 gate only)."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     K = 2
 
     ds = ray.data.read_parquet(_t(sf_dir, "part"), columns=["p_name"])
     nb = int(auto_buckets(ds))
-    nbu = np.uint64(nb)
 
-    def distinct_tag(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["p_name"].drop_duplicates().to_numpy()
-        hb = (hashing.hash_strings64(u) % nbu).astype(np.int64)
-        return pd.DataFrame({"p_name": u, "hb": hb})
+    def distinct(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"p_name": b["p_name"].drop_duplicates().to_numpy()})
 
-    names = (
-        ds.map_batches(distinct_tag, batch_format="pandas")
-        .groupby("hb")
-        .map_groups(
-            lambda g: g.drop_duplicates("p_name")[["p_name"]],
-            batch_format="pandas",
-        )
+    names = bucket_group_map(
+        ds.map_batches(distinct, batch_format="pandas"),
+        key_buckets("p_name", nb),
+        lambda g: g.drop_duplicates("p_name")[["p_name"]],
     )
 
     out = _fuzzy_name_pairs(names, K, nb).to_pandas()
@@ -3544,33 +3335,15 @@ def q_part_skyline(sf_dir: str):
     frontier candidates). Oracle: quadratic NOT EXISTS (sf0.01)."""
     import numpy as np
 
-    from ..stages import hashing
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "part"),
         columns=["p_partkey", "p_size", "p_retailprice"],
     )
 
-    def local(b: pd.DataFrame) -> pd.DataFrame:
-        f = _skyline2d(b)
-        mb = (hashing.mix64(f["p_partkey"].to_numpy().astype(np.uint64))
-              % np.uint64(16)).astype(np.int64)
-        return f.assign(mb=mb)
-
-    def mid(g: pd.DataFrame) -> pd.DataFrame:
-        return _skyline2d(g).assign(fin=np.int64(0))
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return _skyline2d(g)
-
-    out = (
-        ds.map_batches(local, batch_format="pandas")
-        .groupby("mb")
-        .map_groups(mid, batch_format="pandas")
-        .groupby("fin")
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _skyline2d(bucket_group_map(
+        ds.map_batches(_skyline2d, batch_format="pandas"),
+        key_buckets("p_partkey", 16), _skyline2d,
+    ).to_pandas())
     if out.empty:
         return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
                              "p_size": pd.Series([], dtype=np.int64),
@@ -3595,11 +3368,6 @@ def q_docs_mixture_sample(sf_dir: str):
     actor — never reshipped per batch); (2) the docs_source_cap
     machinery with a per-source K looked up from the broadcast map."""
     import hashlib
-
-    import numpy as np
-
-    from ..stages import hashing
-    from .joins import auto_buckets
 
     K = 200
 
@@ -3638,22 +3406,18 @@ def q_docs_mixture_sample(sf_dir: str):
         def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
             h = [hashlib.md5(str(int(i)).encode()).hexdigest()
                  for i in b["doc_id"]]
-            sb = (hashing.hash_strings64(b["source"].to_numpy())
-                  % np.uint64(nb)).astype(np.int64)
             q = b["source"].map(self.quota).astype("int64")
-            return b.assign(h=h, sb=sb, q=q)
+            return b.assign(h=h, q=q)
 
     def cap(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["source", "h", "doc_id"])
         keep = g.groupby("source", sort=False).cumcount() < g["q"]
         return g.loc[keep.to_numpy(), ["doc_id", "source"]]
 
-    out = (
-        ds.map_batches(Tag, batch_format="pandas", concurrency=2)
-        .groupby("sb")
-        .map_groups(cap, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(Tag, batch_format="pandas", concurrency=2),
+        key_buckets("source", nb), cap,
+    ).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -3676,9 +3440,7 @@ def q_part_name_clusters(sf_dir: str):
     definition."""
     import numpy as np
 
-    from ..stages import hashing
     from ..stages.dedup import dup_clusters
-    from .joins import auto_buckets
 
     K = 2
 
@@ -3686,12 +3448,6 @@ def q_part_name_clusters(sf_dir: str):
         _t(sf_dir, "part"), columns=["p_partkey", "p_name"]
     )
     nb = int(auto_buckets(ds))
-    nbu = np.uint64(nb)
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        hb = (hashing.hash_strings64(b["p_name"].to_numpy())
-              % nbu).astype(np.int64)
-        return b.assign(hb=hb)
 
     def per_name(g: pd.DataFrame) -> pd.DataFrame:
         # one group holds every row of each name hashing here: compute
@@ -3711,12 +3467,9 @@ def q_part_name_clusters(sf_dir: str):
                           "b": np.int64(-1)}),
         ], ignore_index=True)
 
-    rows = (
-        ds.map_batches(tag, batch_format="pandas")
-        .groupby("hb")
-        .map_groups(per_name, batch_format="pandas")
-        .materialize()  # consumed twice (star edges + distinct names)
-    )
+    rows = bucket_group_map(
+        ds, key_buckets("p_name", nb), per_name
+    ).materialize()  # consumed twice (star edges + distinct names)
 
     star_edges = rows.map_batches(
         lambda b: b.loc[b["kind"] == 0, ["a", "b"]].rename(
@@ -3764,22 +3517,12 @@ def q_docs_pmi(sf_dir: str, min_count: int = 5):
     """
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-    from ..stages.exchange import bucket_group_map
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "text"]
     )
     nb = int(auto_buckets(ds))
-    nbu = np.uint64(nb)
 
-    def _key(tokens: np.ndarray) -> np.ndarray:
-        return (hashing.hash_strings64(np.asarray(tokens, dtype=object))
-                % nbu).astype(np.int64)
-
-    E1 = {"kind": np.int64, "x": object, "y": object, "cnt": np.int64,
-          "key": np.int64}
+    E1 = {"kind": np.int64, "x": object, "y": object, "cnt": np.int64}
 
     def _empty(schema: dict) -> pd.DataFrame:
         return pd.DataFrame({c: pd.Series([], dtype=t)
@@ -3808,34 +3551,29 @@ def q_docs_pmi(sf_dir: str, min_count: int = 5):
             parts.append(pd.DataFrame({
                 "kind": np.int64(1), "x": bg["x"], "y": bg["y"],
                 "cnt": bg["size"].astype(np.int64)}))
-        out = pd.concat(parts, ignore_index=True)
-        out["key"] = _key(out["x"].to_numpy())
-        return out
+        return pd.concat(parts, ignore_index=True)
 
     def bucket1(g: pd.DataFrame) -> pd.DataFrame:
-        cols = ["kind", "x", "y", "c1", "c2", "key"]
+        cols = ["kind", "x", "y", "c1", "c2"]
         uni = (g.loc[g["kind"] == 0].groupby("x", as_index=False)["cnt"]
                .sum())
         bgp = g.loc[g["kind"] == 1]
         bg = bgp.groupby(["x", "y"], as_index=False)["cnt"].sum()
         t_part = int(bg["cnt"].sum())
-        b = int(g["key"].iloc[0])
         out = [pd.DataFrame({"kind": np.int64(2), "x": "", "y": "",
                              "c1": np.array([t_part], dtype=np.int64),
-                             "c2": np.int64(0), "key": np.int64(b)})]
+                             "c2": np.int64(0)})]
         if len(uni):
             out.append(pd.DataFrame({
                 "kind": np.int64(0), "x": uni["x"], "y": "",
-                "c1": uni["cnt"].astype(np.int64), "c2": np.int64(0),
-                "key": np.int64(b)}))
+                "c1": uni["cnt"].astype(np.int64), "c2": np.int64(0)}))
         keep = bg[bg["cnt"] >= min_count]
         if len(keep):
             m = keep.merge(uni.rename(columns={"cnt": "cx"}), on="x")
             out.append(pd.DataFrame({
                 "kind": np.int64(1), "x": m["x"], "y": m["y"],
                 "c1": m["cnt"].astype(np.int64),
-                "c2": m["cx"].astype(np.int64),
-                "key": _key(m["y"].to_numpy())}))
+                "c2": m["cx"].astype(np.int64)}))
         return pd.concat(out, ignore_index=True)[cols]
 
     def bucket2(g: pd.DataFrame) -> pd.DataFrame:
@@ -3856,11 +3594,16 @@ def q_docs_pmi(sf_dir: str, min_count: int = 5):
                 "cy": m["cy"].astype(np.int64)}))
         return pd.concat(out, ignore_index=True)[cols]
 
+    def y_bucket(t: pa.Table) -> np.ndarray:
+        # a bigram row meets y's unigram row (kind 0, word in x); the
+        # T partials (kind 2, x = "") share one bucket
+        word = pc.if_else(pc.equal(t.column("kind"), 1),
+                          t.column("y"), t.column("x"))
+        return (key_hash64(word) % np.uint64(nb)).astype(np.int64)
+
     emitted = ds.map_batches(emit, batch_format="pandas")
-    ex1 = bucket_group_map(
-        emitted, lambda t: t.column("key").to_numpy(), bucket1)
-    out = bucket_group_map(
-        ex1, lambda t: t.column("key").to_numpy(), bucket2).to_pandas()
+    ex1 = bucket_group_map(emitted, key_buckets("x", nb), bucket1)
+    out = bucket_group_map(ex1, y_bucket, bucket2).to_pandas()
 
     total = int(out.loc[out["kind"] == 2, "cxy"].sum())
     f = out.loc[out["kind"] == 1].copy()
@@ -3906,13 +3649,11 @@ def q_docs_lm_score(sf_dir: str):
     import numpy as np
 
     from ..stages import hashing
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "text"]
     )
     nb = int(auto_buckets(ds))
-    nbu = np.uint64(nb)
 
     def emit(b: pd.DataFrame) -> pd.DataFrame:
         text = b["text"].fillna("").str.strip().str.lower()
@@ -3924,7 +3665,6 @@ def q_docs_lm_score(sf_dir: str):
             "doc_id": pd.Series([], dtype=np.int64),
             "bgh": pd.Series([], dtype=np.int64),
             "cnt": pd.Series([], dtype=np.int64),
-            "tb": pd.Series([], dtype=np.int64),
         }
         if not lists:
             return pd.DataFrame(schema)
@@ -3949,14 +3689,12 @@ def q_docs_lm_score(sf_dir: str):
         d = occ.groupby(["doc_id", "bgh"], as_index=False).size().rename(
             columns={"size": "cnt"})  # cnt = tf for kind-1 rows
         d["cnt"] = d["cnt"].astype(np.int64)
-        d["tb"] = (d["bgh"].to_numpy().view(np.uint64)
-                   % nbu).astype(np.int64)
         d["kind"] = np.int64(1)
         # partial GLOBAL counts for the same bigrams
-        p = d.groupby(["bgh", "tb"], as_index=False)["cnt"].sum()
+        p = d.groupby("bgh", as_index=False)["cnt"].sum()
         p["kind"] = np.int64(0)
         p["doc_id"] = np.int64(-1)
-        cols = ["kind", "doc_id", "bgh", "cnt", "tb"]
+        cols = ["kind", "doc_id", "bgh", "cnt"]
         return pd.concat([p[cols], d[cols]], ignore_index=True)
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -3965,11 +3703,8 @@ def q_docs_lm_score(sf_dir: str):
         docs = g.loc[g["kind"] == 1, ["doc_id", "bgh", "cnt"]]
         m = docs.merge(cnt, left_on="bgh", right_index=True)
         m["s"] = m["cnt"].to_numpy() * m["c"].to_numpy()
-        out = m.groupby("doc_id", as_index=False).agg(
+        return m.groupby("doc_id", as_index=False).agg(
             n=("cnt", "sum"), s=("s", "sum"))
-        db = (hashing.mix64(out["doc_id"].to_numpy().astype(np.uint64))
-              % nbu).astype(np.int64)
-        return out.assign(db=db)
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("doc_id", as_index=False).agg(
@@ -3979,17 +3714,13 @@ def q_docs_lm_score(sf_dir: str):
         return out.assign(lm_score=score).astype(
             {"n_bigrams": np.int64, "sum_cnt": np.int64})
 
-    # both exchanges go through the blob exchange (joins.py::
-    # bucket_group_map): the all-to-all sorts blocks x buckets blob
-    # rows instead of the tens of millions of (doc, bigram) rows
-    from .joins import bucket_group_map
-
+    # both exchanges go through the blob exchange (bucket_group_map):
+    # the all-to-all sorts blocks x buckets blob rows instead of the
+    # tens of millions of (doc, bigram) rows
     emitted = ds.map_batches(emit, batch_format="pandas")
-    scored = bucket_group_map(
-        emitted, lambda t: t.column("tb").to_numpy(), score_bucket)
+    scored = bucket_group_map(emitted, key_buckets("bgh", nb), score_bucket)
     out = bucket_group_map(
-        scored, lambda t: t.column("db").to_numpy(), finalize
-    ).to_pandas()
+        scored, key_buckets("doc_id", nb), finalize).to_pandas()
     return (out[["doc_id", "n_bigrams", "sum_cnt", "lm_score"]]
             .sort_values("doc_id").reset_index(drop=True))
 
@@ -4004,8 +3735,6 @@ def q_events_user_gini(sf_dir: str):
     oracle so the doubles match bit-for-bit."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type"]
     )
@@ -4016,9 +3745,6 @@ def q_events_user_gini(sf_dir: str):
                .size().rename(columns={"size": "c"}))
         out["c"] = out["c"].astype("int64")
         return out
-
-    bucketed = _add_user_bucket(
-        ds.map_batches(partial, batch_format="pandas"), nb)
 
     def gini(g: pd.DataFrame) -> pd.DataFrame:
         t = (g.groupby(["user_id", "event_type"], as_index=False)["c"]
@@ -4032,11 +3758,10 @@ def q_events_user_gini(sf_dir: str):
         return pd.DataFrame({"user_id": agg["user_id"].astype("int64"),
                              "n_events": n, "gini": score})
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(gini, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("user_id", nb), gini,
+    ).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -4054,9 +3779,6 @@ def q_customer_rfm(sf_dir: str):
     selection (:func:`_selection_quantiles`, no global sort); a final
     vectorized compare assigns the 1–4 scores."""
     import numpy as np
-
-    from ..stages import hashing
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "orders"),
@@ -4083,8 +3805,6 @@ def q_customer_rfm(sf_dir: str):
             mx=("mx", "max"), frequency=("mx", "size"),
             cents=("cents", "sum"))
         g["frequency"] = g["frequency"].astype("int64")
-        g["cb"] = (hashing.mix64(g["c_custkey"].to_numpy().astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64)
         return g
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -4095,12 +3815,11 @@ def q_customer_rfm(sf_dir: str):
         out["recency_days"] = (gmax_us - mx_us) // 86_400_000_000
         return out[["c_custkey", "recency_days", "frequency", "cents"]]
 
-    per_cust = (
-        ds.map_batches(part, batch_format="pandas")
-        .groupby("cb")
-        .map_groups(combine, batch_format="pandas")
-        .materialize()  # bounded (one row per customer); re-streamed
-    )                   # by each quantile pass below
+    per_cust = bucket_group_map(
+        ds.map_batches(part, batch_format="pandas"),
+        key_buckets("c_custkey", nb), combine,
+    ).materialize()  # bounded (one row per customer); re-streamed by
+    #                  each quantile pass below
 
     QS = {"q1": 0.25, "q2": 0.5, "q3": 0.75}
     th, _ = _selection_quantiles_multi(
@@ -4176,13 +3895,10 @@ def q_orders_order_gap(sf_dir: str):
     medians are reproducible, DOUBLE-domain ones are not)."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "orders"),
         columns=["o_custkey", "o_orderkey", "o_orderdate"],
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds), col="o_custkey")
 
     def gaps(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
@@ -4208,11 +3924,8 @@ def q_orders_order_gap(sf_dir: str):
         return out.astype({"n_gaps": np.int64, "max_gap": np.int64,
                            "median_gap": np.float64})
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(gaps, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("o_custkey", auto_buckets(ds)), gaps).to_pandas()
     return out.sort_values("c_custkey").reset_index(drop=True)
 
 
@@ -4229,12 +3942,9 @@ def q_events_dau_mau(sf_dir: str):
     single mirrored float division."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "ts"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = pd.DataFrame({
@@ -4256,11 +3966,8 @@ def q_events_dau_mau(sf_dir: str):
         out["n"] = out["n"].astype("int64")
         return out
 
-    parts = (
-        bucketed.groupby("ub")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), per_bucket).to_pandas()
     parts = _pysum_cols(parts, ["n"])
     agg = parts.groupby(["kind", "day"], as_index=False)["n"].sum()
     dau = agg.loc[agg["kind"] == 0, ["day", "n"]].rename(
@@ -4289,18 +3996,10 @@ def q_docs_dup_rate_by_source(sf_dir: str):
     mirrored float division."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "text", "source"]
     )
     nb = int(auto_buckets(ds))
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        tb = (hashing.hash_strings64(b["text"].fillna("").to_numpy())
-              % np.uint64(nb)).astype(np.int64)
-        return b.assign(tb=tb)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         keeper = g.groupby("text", sort=False)["doc_id"].transform("min")
@@ -4310,12 +4009,7 @@ def q_docs_dup_rate_by_source(sf_dir: str):
                           "n_dups": dup.astype(np.int64)})
         return d.groupby("source", as_index=False).sum()
 
-    parts = (
-        ds.map_batches(tag, batch_format="pandas")
-        .groupby("tb")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(ds, key_buckets("text", nb), per_bucket).to_pandas()
     parts = _pysum_cols(parts, ["n_docs", "n_dups"])
     out = parts.groupby("source", as_index=False).sum()
     out["dup_rate"] = (out["n_dups"].to_numpy().astype(np.float64)
@@ -4418,9 +4112,6 @@ def q_customer_order_counts(sf_dir: str):
     independent of row volume."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     orders_ds = ray.data.read_parquet(
         _t(sf_dir, "orders"), columns=["o_custkey"])
     cust_ds = ray.data.read_parquet(
@@ -4432,18 +4123,16 @@ def q_customer_order_counts(sf_dir: str):
     def order_partials(b: pa.Table) -> pa.Table:
         k = b.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
         uniq, cnt = np.unique(k, return_counts=True)
-        kb = (hashing.mix64(uniq.astype(np.uint64)) % np.uint64(nb)).astype(np.int64)
         return pa.table({
-            "kb": pa.array(kb), "key": pa.array(uniq),
+            "key": pa.array(uniq),
             "cnt": pa.array(cnt.astype(np.int64)),
             "is_cust": pa.array(np.zeros(len(uniq), dtype=np.int64)),
         })
 
     def cust_rows(b: pa.Table) -> pa.Table:
         k = b.column("c_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        kb = (hashing.mix64(k.astype(np.uint64)) % np.uint64(nb)).astype(np.int64)
         return pa.table({
-            "kb": pa.array(kb), "key": pa.array(k),
+            "key": pa.array(k),
             "cnt": pa.array(np.zeros(len(k), dtype=np.int64)),
             "is_cust": pa.array(np.ones(len(k), dtype=np.int64)),
         })
@@ -4459,12 +4148,9 @@ def q_customer_order_counts(sf_dir: str):
     orders = orders_ds.map_batches(order_partials, batch_format="pyarrow")
     cust = cust_ds.map_batches(cust_rows, batch_format="pyarrow")
 
-    parts = (
-        orders.union(cust)
-        .groupby("kb")
-        .map_groups(bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        orders.union(cust), key_buckets("key", nb), bucket
+    ).to_pandas()
     out = parts.groupby("c_count", as_index=False)["n_custs"].sum()
     out["n_custs"] = out["n_custs"].astype("int64")
     return out.sort_values("c_count").reset_index(drop=True)
@@ -4483,9 +4169,6 @@ def q_orders_big_spenders(sf_dir: str):
     bucket size; the qualifying output is small by construction)."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     thresh_cents = 480_000_000  # $4.8M lifetime spend
     orders_ds = ray.data.read_parquet(
         _t(sf_dir, "orders"),
@@ -4493,14 +4176,12 @@ def q_orders_big_spenders(sf_dir: str):
     )
     nb = auto_buckets(orders_ds)
 
-    def add_kb(b: pa.Table) -> pa.Table:
+    def add_cents(b: pa.Table) -> pa.Table:
         k = b.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        kb = (hashing.mix64(k.astype(np.uint64)) % np.uint64(nb)).astype(np.int64)
         cents = np.round(
             b.column("o_totalprice").to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
         return pa.table({
-            "kb": pa.array(kb),
             "o_custkey": pa.array(k),
             "o_orderkey": b.column("o_orderkey"),
             "price_cents": pa.array(cents),
@@ -4514,13 +4195,10 @@ def q_orders_big_spenders(sf_dir: str):
         return out[["o_custkey", "o_orderkey", "price_cents",
                     "cust_total_cents"]]
 
-    out = (
-        orders_ds
-        .map_batches(add_kb, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        orders_ds.map_batches(add_cents, batch_format="pyarrow"),
+        key_buckets("o_custkey", nb), bucket,
+    ).to_pandas()
     return (
         out.astype({"o_custkey": "int64", "o_orderkey": "int64",
                     "price_cents": "int64", "cust_total_cents": "int64"})
@@ -4797,9 +4475,17 @@ def q_part_sorted_neighbors(sf_dir: str):
 
     ds = ray.data.read_parquet(_t(sf_dir, "part"), columns=["p_name"])
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        u = b["p_name"].drop_duplicates().astype(str)
-        return pd.DataFrame({"pb": u.str.slice(0, 2), "p_name": u})
+    def distinct(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {"p_name": b["p_name"].drop_duplicates().astype(str)})
+
+    def prefix_bucket(t: pa.Table) -> np.ndarray:
+        # one bucket per distinct 2-char prefix: code points + 1 (each
+        # < 2^21) packed, so no two prefixes share a bucket
+        return np.array([sum((ord(c) + 1) << (21 * i)
+                             for i, c in enumerate(s[:2]))
+                         for s in t.column("p_name").to_pylist()],
+                        dtype=np.int64)
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         names = np.sort(g["p_name"].astype(str).unique())
@@ -4812,7 +4498,7 @@ def q_part_sorted_neighbors(sf_dir: str):
                   else np.empty(0, dtype=object))
         cand_b = (np.concatenate(out_b) if out_b
                   else np.empty(0, dtype=object))
-        pb = str(g["pb"].iloc[0])
+        pb = str(names[0])[:2]
         head = np.arange(min(W, n))
         tail = np.arange(max(0, n - W), n)
         edge_idx = np.unique(np.concatenate([head, tail]))
@@ -4826,20 +4512,14 @@ def q_part_sorted_neighbors(sf_dir: str):
                           "cnt": np.int64(n)}),
         ], ignore_index=True)
 
-    rows = (
-        ds.map_batches(tag, batch_format="pandas")
-        .groupby("pb")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .materialize()  # consumed twice (in-bucket pairs + straddle)
-    )
+    rows = bucket_group_map(
+        ds.map_batches(distinct, batch_format="pandas"),
+        prefix_bucket, bucket_pairs,
+    ).materialize()  # consumed twice (in-bucket pairs + straddle)
 
     in_bucket = rows.map_batches(
         lambda b: b.loc[b["kind"] == 0, ["name_a", "name_b"]],
         batch_format="pandas")
-
-    def straddle_key(b: pd.DataFrame) -> pd.DataFrame:
-        s = b.loc[b["kind"] == 1, ["pb", "name_a", "idx", "cnt"]]
-        return s.assign(sk=np.int64(0))   # one global straddle group
 
     def straddle_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # reconstruct global ranks: offsets = cumsum of per-bucket
@@ -4871,10 +4551,11 @@ def q_part_sorted_neighbors(sf_dir: str):
         return pd.DataFrame({"name_a": np.concatenate(out_a),
                              "name_b": np.concatenate(out_b)})
 
-    straddle = (
-        rows.map_batches(straddle_key, batch_format="pandas")
-        .groupby("sk")
-        .map_groups(straddle_pairs, batch_format="pandas")
+    straddle = bucket_group_map(  # one global straddle group
+        rows.map_batches(
+            lambda b: b.loc[b["kind"] == 1, ["pb", "name_a", "idx", "cnt"]],
+            batch_format="pandas"),
+        lambda t: np.zeros(t.num_rows, dtype=np.int64), straddle_pairs,
     )
 
     def verify(b: pd.DataFrame) -> pd.DataFrame:
@@ -4917,13 +4598,11 @@ def q_events_cdc_apply(sf_dir: str):
     bucket; ONE sort + duplicated() mask picks each entity's latest
     row; a vectorized != filter drops tombstoned entities. Hash-exact
     (rows carried verbatim)."""
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"),
         columns=["event_id", "user_id", "ts", "event_type", "value"],
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def apply_changes(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -4934,11 +4613,8 @@ def q_events_cdc_apply(sf_dir: str):
         res["ts_us"] = out["ts"].astype("int64")
         return res[["user_id", "event_id", "event_type", "ts_us", "value"]]
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(apply_changes, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), apply_changes).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -4962,18 +4638,14 @@ def q_lineitem_below_avg(sf_dir: str):
     need the _pysum_cols Python-int merge, noted not armed)."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     li_ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
         columns=["l_partkey", "l_quantity", "l_extendedprice"],
     )
     nb = auto_buckets(li_ds)
 
-    def add_kb(b: pa.Table) -> pa.Table:
+    def scale(b: pa.Table) -> pa.Table:
         k = b.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        kb = (hashing.mix64(k.astype(np.uint64)) % np.uint64(nb)).astype(np.int64)
         q_u = np.round(
             b.column("l_quantity").to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
@@ -4981,7 +4653,7 @@ def q_lineitem_below_avg(sf_dir: str):
             b.column("l_extendedprice").to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
         return pa.table({
-            "kb": pa.array(kb), "l_partkey": pa.array(k),
+            "l_partkey": pa.array(k),
             "q_u": pa.array(q_u), "price_cents": pa.array(price_cents),
         })
 
@@ -5003,12 +4675,10 @@ def q_lineitem_below_avg(sf_dir: str):
         return out.astype({"l_partkey": "int64",
                            "below_avg_cents": "int64", "n_below": "int64"})
 
-    out = (
-        li_ds.map_batches(add_kb, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        li_ds.map_batches(scale, batch_format="pyarrow"),
+        key_buckets("l_partkey", nb), bucket,
+    ).to_pandas()
     return (out.astype({"l_partkey": "int64", "below_avg_cents": "int64",
                         "n_below": "int64"})
             .sort_values("l_partkey").reset_index(drop=True))
@@ -5031,9 +4701,6 @@ def q_supplier_top_revenue(sf_dir: str):
     HUGEINT."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     li_ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
         columns=["l_suppkey", "l_extendedprice", "l_discount"],
@@ -5051,10 +4718,7 @@ def q_supplier_top_revenue(sf_dir: str):
         rev = pr_c * (10000 - di_u)
         df = pd.DataFrame({"k": k, "rev_u": rev}).groupby(
             "k", as_index=False)["rev_u"].sum()
-        kb = (hashing.mix64(df["k"].to_numpy().astype(np.uint64))
-              % np.uint64(nb)).astype(np.int64)
         return pa.table({
-            "kb": pa.array(kb),
             "l_suppkey": pa.array(df["k"].to_numpy()),
             "rev_u": pa.array(df["rev_u"].to_numpy()),
         })
@@ -5076,12 +4740,10 @@ def q_supplier_top_revenue(sf_dir: str):
             "total_u": pd.Series([best] * len(rows), dtype="int64"),
         })
 
-    cand = (
-        li_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_argmax, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = bucket_group_map(
+        li_ds.map_batches(partial, batch_format="pyarrow"),
+        key_buckets("l_suppkey", nb), bucket_argmax,
+    ).to_pandas()
     best = int(cand["total_u"].max())
     out = cand[cand["total_u"] == best]
     return (out[["l_suppkey", "total_u"]]
@@ -5111,8 +4773,6 @@ def q_orders_sorted(sf_dir: str):
     the bucket."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "orders"), columns=["o_orderkey", "o_totalprice"])
     nparts = auto_buckets(ds)
@@ -5126,26 +4786,28 @@ def q_orders_sorted(sf_dir: str):
     splits = np.asarray([splits_d[k] for k in sorted(splits_d)],
                         dtype=np.int64)
 
-    def add_rb(b: pa.Table) -> pa.Table:
+    def to_cents(b: pa.Table) -> pa.Table:
         c = np.round(
             b.column("o_totalprice").to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        rb = np.searchsorted(splits, c, side="right").astype(np.int64)
         return pa.table({
-            "rb": pa.array(rb),
             "o_orderkey": b.column("o_orderkey"),
             "price_cents": pa.array(c),
         })
 
-    def bucket_sort(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["price_cents", "o_orderkey"])
+    def range_bucket(price_cents) -> np.ndarray:
+        return np.searchsorted(splits, price_cents, side="right").astype(
+            np.int64)
 
-    out = (
-        ds.map_batches(add_rb, batch_format="pyarrow")
-        .groupby("rb")
-        .map_groups(bucket_sort, batch_format="pandas")
-        .to_pandas()
-    )
+    def bucket_sort(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["price_cents", "o_orderkey"])
+        return g.assign(rb=range_bucket(g["price_cents"].iloc[:1])[0])
+
+    out = bucket_group_map(
+        ds.map_batches(to_cents, batch_format="pyarrow"),
+        lambda t: range_bucket(t.column("price_cents").to_numpy()),
+        bucket_sort,
+    ).to_pandas()
     out = out.sort_values("rb", kind="stable")  # bucket-order merge only
     return (out[["o_orderkey", "price_cents"]]
             .astype({"o_orderkey": "int64", "price_cents": "int64"})
@@ -5220,13 +4882,18 @@ def q_lineitem_profile(sf_dir: str):
     ranges ≤ 2^53 and for native doubles)."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     cols = ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
             "l_extendedprice", "l_discount", "l_tax"]
     ds = ray.data.read_parquet(_t(sf_dir, "lineitem"), columns=cols)
     nb = auto_buckets(ds)
+
+    # stats rows (nulls/min/max) meet in bucket -1; each distinct value
+    # is bucketed by its float64 bits
+    def value_bucket(t: pa.Table) -> np.ndarray:
+        bits = t.column("value").to_numpy(zero_copy_only=False).view(np.int64)
+        vb = key_hash64(pa.array(bits)) % np.uint64(nb)
+        return np.where(t.column("stats").to_numpy(zero_copy_only=False),
+                        -1, vb.astype(np.int64))
 
     def partial(b: pa.Table) -> pd.DataFrame:
         frames = []
@@ -5237,14 +4904,12 @@ def q_lineitem_profile(sf_dir: str):
                 np.float64)
             uniq = np.unique(v)
             if len(uniq):
-                vb = (hashing.mix64(uniq.view(np.uint64))
-                      % np.uint64(nb)).astype(np.int64)
                 frames.append(pd.DataFrame({
-                    "vb": vb, "col_id": np.int64(ci), "value": uniq,
+                    "stats": False, "col_id": np.int64(ci), "value": uniq,
                     "n_null": np.int64(0),
                 }))
             frames.append(pd.DataFrame({
-                "vb": [np.int64(-1)], "col_id": [np.int64(ci)],
+                "stats": [True], "col_id": [np.int64(ci)],
                 "value": [uniq[0] if len(uniq) else np.nan],
                 "n_null": [np.int64(n_null)],
                 "min_v": [uniq[0] if len(uniq) else np.nan],
@@ -5257,7 +4922,7 @@ def q_lineitem_profile(sf_dir: str):
         return out
 
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if int(g["vb"].iloc[0]) == -1:
+        if g["stats"].iloc[0]:
             agg = g.groupby("col_id").agg(
                 n_null=("n_null", "sum"), min_v=("min_v", "min"),
                 max_v=("max_v", "max")).reset_index()
@@ -5270,12 +4935,9 @@ def q_lineitem_profile(sf_dir: str):
         d["max_v"] = np.nan
         return d[["col_id", "n_null", "n_distinct", "min_v", "max_v"]]
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("vb")
-        .map_groups(bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds.map_batches(partial, batch_format="pyarrow"), value_bucket, bucket
+    ).to_pandas()
     out = parts.groupby("col_id").agg(
         n_null=("n_null", "sum"), n_distinct=("n_distinct", "sum"),
         min_v=("min_v", "min"), max_v=("max_v", "max")).reset_index()
@@ -5303,9 +4965,6 @@ def q_supplier_ship_islands(sf_dir: str):
     """
     import numpy as np
 
-    from ..stages.dedup import _ibucket
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
         columns=["l_suppkey", "l_shipdate", "l_quantity"])
@@ -5320,8 +4979,7 @@ def q_supplier_ship_islands(sf_dir: str):
         days = (b.column("l_quantity").to_numpy(zero_copy_only=False)
                 .astype(np.int64) % 30 + 1)
         e = s + days * DAY_US
-        return pa.table({"kb": pa.array(_ibucket(k, nb)),
-                         "k": pa.array(k), "s": pa.array(s),
+        return pa.table({"k": pa.array(k), "s": pa.array(s),
                          "e": pa.array(e)})
 
     def islands(g: pd.DataFrame) -> pd.DataFrame:
@@ -5352,12 +5010,10 @@ def q_supplier_ship_islands(sf_dir: str):
                            "covered_us": np.int64,
                            "max_island_us": np.int64})
 
-    out = (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(islands, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(emit, batch_format="pyarrow"),
+        key_buckets("k", nb), islands,
+    ).to_pandas()
     out = out.rename(columns={"k": "l_suppkey"})
     return (out[["l_suppkey", "n_islands", "covered_us", "max_island_us"]]
             .sort_values("l_suppkey").reset_index(drop=True))
@@ -5377,9 +5033,6 @@ def q_part_transit_concurrency(sf_dir: str):
     and hash-exact vs the oracle's window-sum formulation.
     """
     import numpy as np
-
-    from ..stages.dedup import _ibucket
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
@@ -5403,8 +5056,7 @@ def q_part_transit_concurrency(sf_dir: str):
                                   np.full(len(k), -1, dtype=np.int64)]),
         }).groupby(["k", "d"], as_index=False, sort=False)["dl"].sum()
         kk = ev["k"].to_numpy(dtype=np.int64)
-        return pa.table({"kb": pa.array(_ibucket(kk, nb)),
-                         "k": pa.array(kk),
+        return pa.table({"k": pa.array(kk),
                          "d": pa.array(ev["d"].to_numpy(dtype=np.int64)),
                          "dl": pa.array(ev["dl"].to_numpy(dtype=np.int64))})
 
@@ -5429,12 +5081,10 @@ def q_part_transit_concurrency(sf_dir: str):
             "l_partkey": out["k"].astype(np.int64),
             "max_in_transit": out["conc"].astype(np.int64)})
 
-    out = (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(sweep, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(emit, batch_format="pyarrow"),
+        key_buckets("k", nb), sweep,
+    ).to_pandas()
     return (out[["l_partkey", "max_in_transit"]]
             .sort_values("l_partkey").reset_index(drop=True))
 
@@ -5945,8 +5595,6 @@ def q_events_late_arrivals(sf_dir: str, lateness_us: int = 300_000_000):
 
     import numpy as np
 
-    from ..stages.exchange import bucket_group_map
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "ts", "event_type"])
     SENTINEL = np.int64(-(2 ** 62))
@@ -6040,18 +5688,10 @@ def q_events_time_weighted(sf_dir: str):
     groupby-sum) — the events_sessions shape."""
     import numpy as np
 
-    from ..stages.dedup import _ibucket
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"),
         columns=["user_id", "event_id", "ts", "value"])
     nb = int(auto_buckets(ds))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        return batch.append_column("ub", pa.array(_ibucket(uid, nb)))
 
     def twa(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts", "event_id"])
@@ -6079,12 +5719,7 @@ def q_events_time_weighted(sf_dir: str):
                                              * 10000.0),
         })
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(twa, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(ds, key_buckets("user_id", nb), twa).to_pandas()
     return (out[["user_id", "num_scaled", "span_s", "twa"]]
             .sort_values("user_id").reset_index(drop=True))
 
@@ -6443,9 +6078,6 @@ def q_supplier_last_to_ship(sf_dir: str):
     tiny driver merge."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     li_ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_suppkey", "l_shipdate"],
@@ -6457,8 +6089,6 @@ def q_supplier_last_to_ship(sf_dir: str):
                       sort=False)["l_shipdate"].max()
         okey = g["l_orderkey"].to_numpy(dtype=np.int64)
         return pd.DataFrame({
-            "kb": (hashing.mix64(okey.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64),
             "okey": okey,
             "suppkey": g["l_suppkey"].to_numpy(dtype=np.int64),
             "smax": g["l_shipdate"].to_numpy(dtype="datetime64[us]")
@@ -6472,8 +6102,6 @@ def q_supplier_last_to_ship(sf_dir: str):
         b = b[b["o_orderstatus"] == "F"]
         okey = b["o_orderkey"].to_numpy(dtype=np.int64)
         return pd.DataFrame({
-            "kb": (hashing.mix64(okey.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64),
             "okey": okey,
             "suppkey": np.full(len(b), -1, dtype=np.int64),
             "smax": np.zeros(len(b), dtype=np.int64),
@@ -6502,12 +6130,9 @@ def q_supplier_last_to_ship(sf_dir: str):
             num_last=("okey", "size"))
         return out.rename(columns={"suppkey": "l_suppkey"})
 
-    cand = (
-        li.union(orders_f)
-        .groupby("kb")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = bucket_group_map(
+        li.union(orders_f), key_buckets("okey", nb), per_bucket
+    ).to_pandas()
     if len(cand) == 0:  # all-empty to_pandas loses columns (NOTES_r2)
         return pd.DataFrame({
             "l_suppkey": pd.Series([], dtype="int64"),
@@ -6802,20 +6427,14 @@ def q_events_new_users(sf_dir: str):
     |days| rows."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["user_id", "ts"])
     nb = auto_buckets(ds)
 
     def first_partial(b: pd.DataFrame) -> pd.DataFrame:
         g = b.groupby("user_id", as_index=False)["ts"].min()
-        uid = g["user_id"].to_numpy(dtype=np.int64)
         return pd.DataFrame({
-            "ub": (hashing.mix64(uid.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64),
-            "user_id": uid,
+            "user_id": g["user_id"].to_numpy(dtype=np.int64),
             "ts": g["ts"],
         })
 
@@ -6825,12 +6444,10 @@ def q_events_new_users(sf_dir: str):
         out = day.value_counts().sort_index()
         return pd.DataFrame({"day": out.index, "new_users": out.to_numpy()})
 
-    days = (
-        ds.map_batches(first_partial, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    days = bucket_group_map(
+        ds.map_batches(first_partial, batch_format="pandas"),
+        key_buckets("user_id", nb), per_bucket,
+    ).to_pandas()
     out = (days.groupby("day", as_index=False)["new_users"].sum()
            .sort_values("day").reset_index(drop=True))
     out["new_users"] = out["new_users"].astype("int64")
@@ -6849,9 +6466,6 @@ def q_events_rolling_dau(sf_dir: str, window_days: int = 7):
     the bounded day axis. No per-day distinct sets ever ship."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     W = np.int64(window_days)
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["user_id", "ts"])
@@ -6861,13 +6475,9 @@ def q_events_rolling_dau(sf_dir: str, window_days: int = 7):
     def pairs_partial(b: pd.DataFrame) -> pd.DataFrame:
         day = (b["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
                // us_per_day)
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "user_id": b["user_id"].to_numpy(dtype=np.int64), "day": day,
         }).drop_duplicates()
-        uid = g["user_id"].to_numpy()
-        g["ub"] = (hashing.mix64(uid.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64)
-        return g
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.drop_duplicates(["user_id", "day"])
@@ -6901,12 +6511,10 @@ def q_events_rolling_dau(sf_dir: str, window_days: int = 7):
         return out.groupby("day", as_index=False).agg(
             delta=("delta", "sum"), obs=("obs", "max"))
 
-    parts = (
-        ds.map_batches(pairs_partial, batch_format="pandas")
-        .groupby("ub")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds.map_batches(pairs_partial, batch_format="pandas"),
+        key_buckets("user_id", nb), per_bucket,
+    ).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "day": pd.Series([], dtype="datetime64[us]"),
@@ -7042,9 +6650,7 @@ def q_customer_revenue_deciles(sf_dir: str):
     The share is one mirrored float division per decile."""
     import numpy as np
 
-    from ..stages import hashing
     from ..stages.exchange import checkpoint
-    from .joins import auto_buckets
 
     orders = ray.data.read_parquet(
         _t(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
@@ -7056,19 +6662,15 @@ def q_customer_revenue_deciles(sf_dir: str):
             "o_custkey": b["o_custkey"].to_numpy(dtype=np.int64),
             "rev_c": cents,
         }).groupby("o_custkey", as_index=False)["rev_c"].sum()
-        k = g["o_custkey"].to_numpy()
-        g["kb"] = (hashing.mix64(k.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64)
         return g
 
     def per_cust(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("o_custkey", as_index=False)["rev_c"].sum()
 
-    percust = checkpoint(
-        orders.map_batches(partial, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(per_cust, batch_format="pandas")
-    )  # reused by three passes below — cut lineage once
+    percust = checkpoint(bucket_group_map(
+        orders.map_batches(partial, batch_format="pandas"),
+        key_buckets("o_custkey", nb), per_cust,
+    ))  # reused by three passes below — cut lineage once
 
     stats = percust.map_batches(
         lambda df: pd.DataFrame({
@@ -7105,27 +6707,19 @@ def q_customer_revenue_deciles(sf_dir: str):
         per_vb[int(vb)] += int(n)
     offsets = np.cumsum([0] + per_vb[:-1]).astype(np.int64)
 
-    def add_vb(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[["o_custkey", "rev_c"]].copy()
-        df["vb"] = vbucket(df["rev_c"].to_numpy())
-        return df
-
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["rev_c", "o_custkey"],
                           ascending=[False, True]).reset_index(drop=True)
-        rank0 = offsets[int(g["vb"].iloc[0])] + np.arange(len(g),
-                                                          dtype=np.int64)
+        vb = int(vbucket(g["rev_c"].to_numpy()[:1])[0])
+        rank0 = offsets[vb] + np.arange(len(g), dtype=np.int64)
         dec = (rank0 * 10) // np.int64(n_total)
         return pd.DataFrame({"decile": dec, "rev_c": g["rev_c"]}).groupby(
             "decile", as_index=False).agg(
             n_custs=("rev_c", "size"), rev_c=("rev_c", "sum"))
 
-    parts = (
-        percust.map_batches(add_vb, batch_format="pandas")
-        .groupby("vb")
-        .map_groups(rank_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        percust, lambda t: vbucket(t.column("rev_c").to_numpy()), rank_bucket
+    ).to_pandas()
     out = _pysum_cols(parts, ["rev_c"]).groupby("decile", as_index=False).agg(
         n_custs=("n_custs", "sum"), rev_c=("rev_c", "sum"))
     out["n_custs"] = out["n_custs"].astype("int64")
@@ -7184,8 +6778,7 @@ def q_customer_returns(sf_dir: str):
     (no float compare), mirrored by the oracle's ORDER BY rev_u."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets, hash_join
+    from .joins import hash_join
 
     lo = pd.Timestamp("1995-07-01")
     hi = pd.Timestamp("1995-10-01")
@@ -7220,24 +6813,18 @@ def q_customer_returns(sf_dir: str):
                        right_on="o_orderkey")
     nb = auto_buckets(ray.data.read_parquet(_t(sf_dir, "orders")))
 
-    def add_kb(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_custkey", as_index=False)["rev_u"].sum()
-        k = g["o_custkey"].to_numpy(dtype=np.int64)
-        g["kb"] = (hashing.mix64(k.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64)
-        return g
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("o_custkey", as_index=False)["rev_u"].sum()
 
     def bucket_top(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("o_custkey", as_index=False)["rev_u"].sum()
         return m.sort_values(["rev_u", "o_custkey"],
                              ascending=[False, True]).head(20)
 
-    cand = (
-        joined.map_batches(add_kb, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(bucket_top, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = bucket_group_map(
+        joined.map_batches(partial, batch_format="pandas"),
+        key_buckets("o_custkey", nb), bucket_top,
+    ).to_pandas()
     if len(cand) == 0:
         return pd.DataFrame({
             "c_custkey": pd.Series([], dtype="int64"),
@@ -7284,8 +6871,6 @@ def q_events_bursts(sf_dir: str):
     are one sliding-window cumsum inside the bucket."""
     import numpy as np
 
-    from ..stages import hashing
-
     W, RATIO, SUPPORT = 8, 2, 10
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -7294,10 +6879,6 @@ def q_events_bursts(sf_dir: str):
                            "bucket_ts": hour})
              .groupby(["event_type", "bucket_ts"], as_index=False)
              .size().rename(columns={"size": "n"}))
-        tb = (hashing.hash_strings64(
-            g["event_type"].to_numpy(dtype=object), categorize=False)
-            % np.uint64(16)).astype(np.int64)
-        g["tb"] = tb
         return g
 
     def per_type(g: pd.DataFrame) -> pd.DataFrame:
@@ -7329,14 +6910,12 @@ def q_events_bursts(sf_dir: str):
             })
         return pd.concat(out, ignore_index=True)
 
-    parts = (
+    parts = bucket_group_map(
         ray.data.read_parquet(_t(sf_dir, "events"),
                               columns=["event_type", "ts"])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("tb")
-        .map_groups(per_type, batch_format="pandas")
-        .to_pandas()
-    )
+        .map_batches(partial, batch_format="pandas"),
+        key_buckets("event_type", 16), per_type,
+    ).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "event_type": pd.Series([], dtype=object),
@@ -7362,8 +6941,7 @@ def q_part_multi_nation(sf_dir: str):
     beyond)."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets, join
+    from .joins import join
 
     supp_ds = ray.data.read_parquet(
         _t(sf_dir, "supplier"), columns=["s_suppkey", "s_nationkey"])
@@ -7376,9 +6954,6 @@ def q_part_multi_nation(sf_dir: str):
             "l_partkey": b["l_partkey"].to_numpy(dtype=np.int64),
             "nation": b["s_nationkey"].to_numpy(dtype=np.int64),
         }).drop_duplicates()
-        k = g["l_partkey"].to_numpy(dtype=np.int64)
-        g["kb"] = (hashing.mix64(k.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64)
         return g
 
     def having(g: pd.DataFrame) -> pd.DataFrame:
@@ -7390,13 +6965,11 @@ def q_part_multi_nation(sf_dir: str):
             "n_nations": cnt["size"].astype("int64"),
         })
 
-    out = (
+    out = bucket_group_map(
         join(li_ds, supp_ds, "l_suppkey", "s_suppkey", "inner")
-        .map_batches(pairs, batch_format="pandas")
-        .groupby("kb")
-        .map_groups(having, batch_format="pandas")
-        .to_pandas()
-    )
+        .map_batches(pairs, batch_format="pandas"),
+        key_buckets("l_partkey", nb), having,
+    ).to_pandas()
     if len(out) == 0:
         return pd.DataFrame({
             "l_partkey": pd.Series([], dtype="int64"),
@@ -7415,8 +6988,6 @@ def q_events_pattern(sf_dir: str):
     inside the user-hash bucket; no per-user Python loop, no
     sequence ever leaves its bucket."""
     import numpy as np
-
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_id", "ts",
@@ -7444,12 +7015,7 @@ def q_events_pattern(sf_dir: str):
         uu, cc = np.unique(users, return_counts=True)
         return pd.DataFrame({"user_id": uu, "n_matches": cc.astype("int64")})
 
-    out = (
-        _add_user_bucket(ds, nb)
-        .groupby("ub")
-        .map_groups(pattern, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(ds, key_buckets("user_id", nb), pattern).to_pandas()
     if len(out) == 0:
         return pd.DataFrame({
             "user_id": pd.Series([], dtype="int64"),
@@ -7468,23 +7034,16 @@ def q_events_attribution(sf_dir: str):
     cents. Tolerance is an integer-µs compare — no float time math."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     tol_us = np.int64(3_600_000_000)
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"),
         columns=["event_id", "user_id", "event_type", "ts", "value"],
     )
-    nb = np.uint64(auto_buckets(ds))
 
     def pre(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(batch.column("event_type"),
                         value_set=pa.array(["click", "purchase"]))
-        t = batch.filter(mask)
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        ub = (hashing.mix64(u) % nb).astype(np.int64)
-        return t.append_column("ub", pa.array(ub))
+        return batch.filter(mask)
 
     def attribute(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -7510,12 +7069,10 @@ def q_events_attribution(sf_dir: str):
             "value_cents": vc,
         })
 
-    out = (
-        ds.map_batches(pre, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(attribute, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(pre, batch_format="pyarrow"),
+        key_buckets("user_id", auto_buckets(ds)), attribute,
+    ).to_pandas()
     if len(out) == 0:
         return pd.DataFrame({
             "event_id": pd.Series([], dtype="int64"),
@@ -7542,23 +7099,16 @@ def q_events_windowed_join(sf_dir: str):
     assumption is the session one (a user's events fit a bucket)."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     win_us = np.int64(600_000_000)
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"),
         columns=["event_id", "user_id", "event_type", "ts"],
     )
-    nb = np.uint64(auto_buckets(ds))
 
     def pre(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(batch.column("event_type"),
                         value_set=pa.array(["view", "purchase"]))
-        t = batch.filter(mask)
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        ub = (hashing.mix64(u) % nb).astype(np.int64)
-        return t.append_column("ub", pa.array(ub))
+        return batch.filter(mask)
 
     def wjoin(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -7631,12 +7181,10 @@ def q_events_windowed_join(sf_dir: str):
             "gap_us": g_us[strict],
         })
 
-    out = (
-        ds.map_batches(pre, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(wjoin, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds.map_batches(pre, batch_format="pyarrow"),
+        key_buckets("user_id", auto_buckets(ds)), wjoin,
+    ).to_pandas()
     if len(out) == 0:
         return pd.DataFrame({
             "purchase_id": pd.Series([], dtype="int64"),
@@ -7833,8 +7381,6 @@ def q_events_resample(sf_dir: str):
     ships only the (user, hour) pre-aggregate, not raw events."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "ts", "value"]
     )
@@ -7851,9 +7397,6 @@ def q_events_resample(sf_dir: str):
         }).to_pandas()
         g = t.groupby(["user_id", "hour"], as_index=False).agg(
             n_events=("cents", "size"), cents=("cents", "sum"))
-        uid = g["user_id"].to_numpy().astype(np.uint64)
-        h = (uid * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        g["ub"] = (h % np.uint64(n_buckets)).astype(np.int64)
         return g
 
     def resample(group: pd.DataFrame) -> pd.DataFrame:
@@ -7889,10 +7432,9 @@ def q_events_resample(sf_dir: str):
             "filled_cents": c[idx],
         })
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(resample, batch_format="pandas")
+    out = bucket_group_map(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        key_buckets("user_id", n_buckets), resample,
     )
     return (
         out.to_pandas()
@@ -7921,15 +7463,12 @@ def q_events_scd2(sf_dir: str):
     break by event_id, mirrored in the oracle's window ORDER BY."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     OPEN_END = np.int64(np.iinfo(np.int64).max)
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type", "ts",
                                        "event_id"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def compress(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -7959,11 +7498,8 @@ def q_events_scd2(sf_dir: str):
             "valid_to_us": k_to,
         })
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(compress, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), compress).to_pandas()
     return (out.sort_values(["user_id", "version"])
             .reset_index(drop=True))
 
@@ -7983,13 +7519,10 @@ def q_events_distinct_running(sf_dir: str):
     COUNT(DISTINCT) OVER with the same ROWS frame."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type", "ts",
                                        "event_id"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def running(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -8008,11 +7541,8 @@ def q_events_distinct_running(sf_dir: str):
             "n_types": n_types,
         })
 
-    out = (
-        bucketed.groupby("ub")
-        .map_groups(running, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), running).to_pandas()
     return (out.sort_values(["user_id", "ts_us", "event_id"])
             .reset_index(drop=True))
 
@@ -8212,13 +7742,10 @@ def q_events_paths(sf_dir: str, k: int = 5):
     observed k-prefix vocabulary, ≤ |event_types|^k, never users)."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type", "ts",
                                        "event_id"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def paths(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -8233,11 +7760,8 @@ def q_events_paths(sf_dir: str, k: int = 5):
         return pd.DataFrame({"path": out["path"].astype(str),
                              "n": out["size"].astype("int64")})
 
-    parts = (
-        bucketed.groupby("ub")
-        .map_groups(paths, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), paths).to_pandas()
     out = parts.groupby("path", as_index=False).agg(n_users=("n", "sum"))
     out["n_users"] = out["n_users"].astype("int64")
     return out.sort_values("path").reset_index(drop=True)
@@ -8338,12 +7862,9 @@ def q_events_churn(sf_dir: str):
     distinct-week frame)."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     WEEK_US = 7 * 86400 * 10**6
 
     ds = ray.data.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def churn(g: pd.DataFrame) -> pd.DataFrame:
         d = pd.DataFrame({
@@ -8369,11 +7890,8 @@ def q_events_churn(sf_dir: str):
                              "kind": out["kind"].astype(str),
                              "n": out["size"].astype("int64")})
 
-    parts = (
-        bucketed.groupby("ub")
-        .map_groups(churn, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), churn).to_pandas()
     p = parts.pivot_table(index="week", columns="kind", values="n",
                           aggfunc="sum", fill_value=0).reset_index()
     for k in "anrc":
@@ -8406,8 +7924,6 @@ def q_docs_vocab_growth(sf_dir: str, n_buckets: int = 64):
     whitespace split)."""
     import numpy as np
 
-    from ..stages.hashing import hash_strings64
-
     docs = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "text"])
     n_docs = docs.count()  # metadata-only on a fresh parquet read
@@ -8420,11 +7936,9 @@ def q_docs_vocab_growth(sf_dir: str, n_buckets: int = 64):
             "term": text[ok].str.split(),
         }).explode("term")
         m = e.groupby("term", as_index=False)["doc_id"].min()
-        th = hash_strings64(m["term"].to_numpy(), categorize=True)
         return pd.DataFrame({
             "term": m["term"].astype(str),
             "fd": m["doc_id"].astype("int64"),
-            "tb": (th % np.uint64(n_buckets)).astype(np.int64),
         })
 
     def decile_counts(g: pd.DataFrame) -> pd.DataFrame:
@@ -8434,12 +7948,10 @@ def q_docs_vocab_growth(sf_dir: str, n_buckets: int = 64):
         return pd.DataFrame({"decile": d.astype("int64"),
                              "nw": n.astype("int64")})
 
-    parts = (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby("tb")
-        .map_groups(decile_counts, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucket_group_map(
+        docs.map_batches(partial, batch_format="pandas"),
+        key_buckets("term", n_buckets), decile_counts,
+    ).to_pandas()
     axis = pd.DataFrame({"decile": np.arange(1, 11, dtype=np.int64)})
     if parts.empty:
         merged = axis.assign(nw=0)
@@ -8578,8 +8090,10 @@ def q_part_zorder(sf_dir: str):
             "p_partkey": batch.column("p_partkey").to_numpy(
                 zero_copy_only=False).astype(np.int64),
             "zcode": z,
-            "hb": z >> 20,  # top-12-bit prefix = range bucket
         })
+
+    def prefix(zcode) -> np.ndarray:
+        return zcode >> 20  # top-12-bit prefix = range bucket
 
     coded = ray.data.read_parquet(
         _t(sf_dir, "part"),
@@ -8587,7 +8101,8 @@ def q_part_zorder(sf_dir: str):
     ).map_batches(zcodes, batch_format="pyarrow")
 
     def counts(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.groupby("hb", as_index=False).size()
+        out = (b.assign(hb=prefix(b["zcode"].to_numpy()))
+               .groupby("hb", as_index=False).size())
         return pd.DataFrame({"hb": out["hb"].astype("int64"),
                              "n": out["size"].astype("int64")})
 
@@ -8603,15 +8118,16 @@ def q_part_zorder(sf_dir: str):
 
     def rank(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["zcode", "p_partkey"]).reset_index(drop=True)
-        base = offsets[int(g["hb"].iloc[0])]
+        base = offsets[prefix(int(g["zcode"].iloc[0]))]
         return pd.DataFrame({
             "p_partkey": g["p_partkey"].astype("int64"),
             "zcode": g["zcode"].astype("int64"),
             "zrank": (base + np.arange(len(g))).astype("int64"),
         })
 
-    out = (coded.groupby("hb").map_groups(rank, batch_format="pandas")
-           .to_pandas())
+    out = bucket_group_map(
+        coded, lambda t: prefix(t.column("zcode").to_numpy()), rank
+    ).to_pandas()
     return out.sort_values("p_partkey").reset_index(drop=True)
 
 
@@ -8716,7 +8232,7 @@ def q_part_item_sim(sf_dir: str, k: int = 3):
     import numpy as np
 
     from ..stages.graph import group_cooccurrence_weighted_edges
-    from .joins import auto_buckets, hash_join
+    from .joins import hash_join
 
     li = ray.data.read_parquet(
         _t(sf_dir, "lineitem"), columns=["l_orderkey", "l_partkey"])
@@ -8729,10 +8245,8 @@ def q_part_item_sim(sf_dir: str, k: int = 3):
 
     def order_part(b: pd.DataFrame) -> pd.DataFrame:
         d = b.drop_duplicates(["l_orderkey", "l_partkey"])
-        p = d["l_partkey"].to_numpy(np.int64)
         return pd.DataFrame({
-            "ib": (p % np.int64(nb)).astype(np.int64),
-            "p": p,
+            "p": d["l_partkey"].to_numpy(np.int64),
             "o": d["l_orderkey"].to_numpy(np.int64),
         })
 
@@ -8746,10 +8260,9 @@ def q_part_item_sim(sf_dir: str, k: int = 3):
 
     # counts feeds BOTH join sides: materialize once or the distinct
     # (order, part) exchange executes twice inside the annotated join
-    counts = checkpoint(
-        li.map_batches(order_part, batch_format="pandas")
-        .groupby("ib")
-        .map_groups(item_counts, batch_format="pandas"))
+    counts = checkpoint(bucket_group_map(
+        li.map_batches(order_part, batch_format="pandas"),
+        key_buckets("p", nb), item_counts))
     cs = counts.map_batches(
         lambda b: pa.table({"p_s": b.column("p"), "n_s": b.column("n")}),
         batch_format="pyarrow")
@@ -8760,15 +8273,13 @@ def q_part_item_sim(sf_dir: str, k: int = 3):
         hash_join(pairs, cs, left_on="src", right_on="p_s"),
         cd, left_on="dst", right_on="p_d")
 
-    def add_sim_bucket(b: pd.DataFrame) -> pd.DataFrame:
+    def add_sim(b: pd.DataFrame) -> pd.DataFrame:
         n_both = b["cnt"].to_numpy(np.int64)
         sim = (n_both.astype(np.float64)
                / (np.sqrt(b["n_s"].to_numpy(np.float64))
                   * np.sqrt(b["n_d"].to_numpy(np.float64))))
-        src = b["src"].to_numpy(np.int64)
         return pd.DataFrame({
-            "sb": (src % np.int64(nb)).astype(np.int64),
-            "src": src, "dst": b["dst"].to_numpy(np.int64),
+            "src": b["src"].to_numpy(np.int64), "dst": b["dst"].to_numpy(np.int64),
             "n_both": n_both, "sim": sim,
         })
 
@@ -8785,10 +8296,10 @@ def q_part_item_sim(sf_dir: str, k: int = 3):
             "rank": out["rank"].astype("int64"),
         })
 
-    out = (annotated.map_batches(add_sim_bucket, batch_format="pandas")
-           .groupby("sb")
-           .map_groups(topk, batch_format="pandas")
-           .to_pandas())
+    out = bucket_group_map(
+        annotated.map_batches(add_sim, batch_format="pandas"),
+        key_buckets("src", nb), topk,
+    ).to_pandas()
     return out.sort_values(["src", "rank"]).reset_index(drop=True)
 
 
@@ -8820,7 +8331,7 @@ def q_part_hits(sf_dir: str, iters: int = 2, scale: int = 1_000_000):
     import numpy as np
 
     from ..stages.exchange import checkpoint
-    from .joins import auto_buckets, hash_join
+    from .joins import hash_join
 
     li = ray.data.read_parquet(
         _t(sf_dir, "lineitem"), columns=["l_orderkey", "l_partkey"])
@@ -8832,38 +8343,30 @@ def q_part_hits(sf_dir: str, iters: int = 2, scale: int = 1_000_000):
 
     def edge_partial(b: pd.DataFrame) -> pd.DataFrame:
         d = b.drop_duplicates(["o_custkey", "l_partkey"])
-        c = d["o_custkey"].to_numpy(np.int64)
-        p = d["l_partkey"].to_numpy(np.int64)
         return pd.DataFrame({
-            "pb": ((c * np.int64(1_000_003) + p)
-                   % np.int64(nb)).astype(np.int64),
-            "c": c, "p": p,
+            "c": d["o_custkey"].to_numpy(np.int64),
+            "p": d["l_partkey"].to_numpy(np.int64),
         })
 
     def edge_dedup(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["c", "p"])[["c", "p"]]
 
-    edges = checkpoint(
-        joined.map_batches(edge_partial, batch_format="pandas")
-        .groupby("pb")
-        .map_groups(edge_dedup, batch_format="pandas"))
+    edges = checkpoint(bucket_group_map(  # every copy of (c, p) shares c
+        joined.map_batches(edge_partial, batch_format="pandas"),
+        key_buckets("c", nb), edge_dedup))
 
     def init_scores(col: str):
         def partial(b: pd.DataFrame) -> pd.DataFrame:
-            ids = np.unique(b[col].to_numpy(np.int64))
-            return pd.DataFrame({
-                "kb": (ids % np.int64(nb)).astype(np.int64),
-                "id": ids,
-            })
+            return pd.DataFrame({"id": np.unique(b[col].to_numpy(np.int64))})
 
         def dedup(g: pd.DataFrame) -> pd.DataFrame:
             out = g.drop_duplicates("id")[["id"]].copy()
             out["s"] = np.int64(scale)
             return out
 
-        return checkpoint(
-            edges.map_batches(partial, batch_format="pandas")
-            .groupby("kb").map_groups(dedup, batch_format="pandas"))
+        return checkpoint(bucket_group_map(
+            edges.map_batches(partial, batch_format="pandas"),
+            key_buckets("id", nb), dedup))
 
     def half_step(scores, from_col: str, to_col: str):
         """sum the fixed side's scores onto the other side, then
@@ -8877,10 +8380,8 @@ def q_part_hits(sf_dir: str, iters: int = 2, scale: int = 1_000_000):
 
         def sum_partial(b: pd.DataFrame) -> pd.DataFrame:
             out = b.groupby(to_col, as_index=False)["s"].sum()
-            ids = out[to_col].to_numpy(np.int64)
             return pd.DataFrame({
-                "kb": (ids % np.int64(nb)).astype(np.int64),
-                "id": ids,
+                "id": out[to_col].to_numpy(np.int64),
                 "s": out["s"].to_numpy(np.int64),
             })
 
@@ -8889,9 +8390,9 @@ def q_part_hits(sf_dir: str, iters: int = 2, scale: int = 1_000_000):
             return pd.DataFrame({"id": out["id"].astype("int64"),
                                  "s": out["s"].astype("int64")})
 
-        summed = checkpoint(
-            j.map_batches(sum_partial, batch_format="pandas")
-            .groupby("kb").map_groups(sum_merge, batch_format="pandas"))
+        summed = checkpoint(bucket_group_map(
+            j.map_batches(sum_partial, batch_format="pandas"),
+            key_buckets("id", nb), sum_merge))
 
         mx_parts = summed.map_batches(
             lambda b: pd.DataFrame({"m": [int(b["s"].max())]}),
@@ -8965,14 +8466,13 @@ def q_audit_referential(sf_dir: str):
             keys = b[_ck].dropna().to_numpy(np.int64)
             u = np.unique(keys)
             return pd.DataFrame({
-                "kb": (u % np.int64(64)).astype(np.int64),
                 "key": u,
                 "n": np.r_[np.int64(len(b)),
                            np.zeros(max(len(u) - 1, 0),
                                     dtype=np.int64)]
                 if len(u) else np.full(0, 0, dtype=np.int64),
             }) if len(u) else pd.DataFrame({
-                "kb": [np.int64(0)], "key": [np.int64(-1)],
+                "key": [np.int64(-1)],
                 "n": [np.int64(len(b))]})
 
         def bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
@@ -8982,10 +8482,10 @@ def q_audit_referential(sf_dir: str):
                 "d": [int(real["key"].nunique())],
             })
 
-        parts = (orphans.map_batches(partial, batch_format="pandas")
-                 .groupby("kb")
-                 .map_groups(bucket_stats, batch_format="pandas")
-                 .to_pandas())
+        parts = bucket_group_map(
+            orphans.map_batches(partial, batch_format="pandas"),
+            key_buckets("key", 64), bucket_stats,
+        ).to_pandas()
         n_orphan = int(parts["n"].sum()) if len(parts) else 0
         distinct = int(parts["d"].sum()) if len(parts) else 0
         rows.append((f"{child}.{ck}->{parent}.{pk}",
@@ -9010,12 +8510,9 @@ def q_events_drawdown(sf_dir: str):
     bucket; driver holds only the per-user result rows."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_id", "ts", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
 
     def drawdown(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -9032,9 +8529,8 @@ def q_events_drawdown(sf_dir: str):
             "peak_value": out["peak"].to_numpy(np.int64) / 100.0,
         })
 
-    out = (bucketed.groupby("ub")
-           .map_groups(drawdown, batch_format="pandas")
-           .to_pandas())
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), drawdown).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -9061,25 +8557,26 @@ def q_embeddings_auc(sf_dir: str, pos_label: int = 0):
     ds = ray.data.read_parquet(
         _t(sf_dir, "embeddings"), columns=["embedding", "label"])
 
+    def score_bucket(score) -> np.ndarray:
+        return np.clip(np.floor(score * 64.0), -2048, 2047).astype(np.int64)
+
     def partial(b: pa.Table) -> pd.DataFrame:
         score = pc.list_element(b.column("embedding"), 0).to_numpy(
             zero_copy_only=False).astype(np.float64)
         pos = (b.column("label").to_numpy(zero_copy_only=False)
                == pos_label)
-        sb = np.clip(np.floor(score * 64.0), -2048, 2047).astype(np.int64)
-        df = pd.DataFrame({"sb": sb, "score": score,
+        df = pd.DataFrame({"score": score,
                            "p": pos.astype(np.int64),
                            "n": (~pos).astype(np.int64)})
-        out = df.groupby(["sb", "score"], as_index=False).sum()
+        out = df.groupby("score", as_index=False).sum()
         return pd.DataFrame({
-            "sb": out["sb"].astype("int64"),
             "score": out["score"].astype("float64"),
             "p": out["p"].astype("int64"),
             "n": out["n"].astype("int64"),
         })
 
     def bucket_term_keyed(g: pd.DataFrame) -> pd.DataFrame:
-        sb = int(g["sb"].iloc[0])
+        sb = int(score_bucket(g["score"].to_numpy()[:1])[0])
         g = (g.groupby("score", as_index=False)[["p", "n"]].sum()
              .sort_values("score"))
         p = g["p"].to_numpy(np.int64)
@@ -9091,10 +8588,11 @@ def q_embeddings_auc(sf_dir: str, pos_label: int = 0):
             "p": [int(p.sum())], "n": [int(n.sum())],
         })
 
-    parts = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("sb")
-             .map_groups(bucket_term_keyed, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        lambda t: score_bucket(t.column("score").to_numpy()),
+        bucket_term_keyed,
+    ).to_pandas()
     parts = parts.sort_values("sb").reset_index(drop=True)
     # driver: arbitrary-precision cross-bucket combine (≤4096 rows)
     u2 = 0
@@ -9136,7 +8634,7 @@ def q_part_brand_itemsets(sf_dir: str, min_support: int = 60):
     import numpy as np
     from itertools import combinations
 
-    from .joins import auto_buckets, join
+    from .joins import join
 
     part_ds = ray.data.read_parquet(
         _t(sf_dir, "part"), columns=["p_partkey", "p_brand"])
@@ -9154,10 +8652,8 @@ def q_part_brand_itemsets(sf_dir: str, min_support: int = 60):
     n_buckets = auto_buckets(li)
 
     def to_order_brand(b: pd.DataFrame) -> pd.DataFrame:
-        o = b["l_orderkey"].to_numpy(np.int64)
         df = pd.DataFrame({
-            "ob": (o % np.int64(n_buckets)).astype(np.int64),
-            "o": o,
+            "o": b["l_orderkey"].to_numpy(np.int64),
             "c": b["p_brand"].map(code_of).to_numpy(np.int32),
         }).drop_duplicates(["o", "c"])
         return df
@@ -9186,11 +8682,11 @@ def q_part_brand_itemsets(sf_dir: str, min_support: int = 60):
         return pd.DataFrame({"code": nz.astype(np.int64),
                              "cnt": census[nz]})
 
-    parts = (join(li, part_ds, "l_partkey", "p_partkey", "inner")
-             .map_batches(to_order_brand, batch_format="pandas")
-             .groupby("ob")
-             .map_groups(count_triples, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        join(li, part_ds, "l_partkey", "p_partkey", "inner")
+        .map_batches(to_order_brand, batch_format="pandas"),
+        key_buckets("o", n_buckets), count_triples,
+    ).to_pandas()
     total = parts.groupby("code", as_index=False)["cnt"].sum()
     total = total[total["cnt"] >= min_support]
     code = total["code"].to_numpy(np.int64)
@@ -9286,12 +8782,9 @@ def q_events_cusum(sf_dir: str, k_cents: int = 5500, h_cents: int = 30000):
     rows leave the bucket."""
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_id", "ts", "value"]
     )
-    bucketed = _add_user_bucket(ds, auto_buckets(ds))
     k = np.int64(k_cents)
     h = np.int64(h_cents)
 
@@ -9310,9 +8803,8 @@ def q_events_cusum(sf_dir: str, k_cents: int = 5500, h_cents: int = 30000):
             "sv": sv[keep],
         })
 
-    out = (bucketed.groupby("ub")
-           .map_groups(cusum, batch_format="pandas")
-           .to_pandas())
+    out = bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), cusum).to_pandas()
     return (out.sort_values(["user_id", "event_id"])
             .reset_index(drop=True))
 
@@ -9646,9 +9138,6 @@ def q_customer_pareto(sf_dir: str):
     at the boundary."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
     nb = auto_buckets(ds)
@@ -9658,17 +9147,15 @@ def q_customer_pareto(sf_dir: str):
         g = (pd.DataFrame({"c_custkey": b["o_custkey"].to_numpy(
             dtype=np.int64), "rev_c": cents})
             .groupby("c_custkey", as_index=False)["rev_c"].sum())
-        g["ub"] = (hashing.mix64(g["c_custkey"].to_numpy().astype(
-            np.uint64)) % np.uint64(nb)).astype(np.int64)
         return g
 
     def per_cust(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("c_custkey", as_index=False)["rev_c"].sum()
 
     from ..stages.exchange import checkpoint
-    cust = checkpoint(
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("ub").map_groups(per_cust, batch_format="pandas"))
+    cust = checkpoint(bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("c_custkey", nb), per_cust))
 
     # band scalars: band = bit_length(rev_c); higher band ⇒ strictly
     # larger revenue, so bands are globally ordered
@@ -9709,14 +9196,9 @@ def q_customer_pareto(sf_dir: str):
             "cum_c": cum[keep],
         })
 
-    def add_band(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["band"] = _bitlen64(b["rev_c"].to_numpy(dtype=np.int64))
-        return b
-
-    out = (cust.map_batches(add_band, batch_format="pandas")
-           .groupby("band").map_groups(finalize, batch_format="pandas")
-           .to_pandas())
+    out = bucket_group_map(
+        cust, lambda t: _bitlen64(t.column("rev_c").to_numpy()), finalize
+    ).to_pandas()
     return (out.astype({"c_custkey": "int64", "rev_c": "int64",
                         "rnk": "int64", "cum_c": "int64"})
             .sort_values("rnk").reset_index(drop=True))
@@ -9830,9 +9312,6 @@ def q_nation_customer_hhi(sf_dir: str):
     the float matches DuckDB bitwise."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     orders = ray.data.read_parquet(
         _t(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
     cust = ray.data.read_parquet(
@@ -9847,15 +9326,11 @@ def q_nation_customer_hhi(sf_dir: str):
              .groupby("k", as_index=False)["cents"].sum())
         g["nk"] = np.int64(0)
         g["is_cust"] = False
-        g["ub"] = (hashing.mix64(g["k"].to_numpy().astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64)
-        return g[["ub", "k", "cents", "nk", "is_cust"]]
+        return g[["k", "cents", "nk", "is_cust"]]
 
     def cust_rows(b: pd.DataFrame) -> pd.DataFrame:
         k = b["c_custkey"].to_numpy(dtype=np.int64)
         return pd.DataFrame({
-            "ub": (hashing.mix64(k.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64),
             "k": k,
             "cents": np.zeros(len(k), dtype=np.int64),
             "nk": b["c_nationkey"].to_numpy(dtype=np.int64),
@@ -9881,11 +9356,11 @@ def q_nation_customer_hhi(sf_dir: str):
             n_customers=("s", "size"))
         return out
 
-    parts = (orders.map_batches(order_partial, batch_format="pandas")
-             .union(cust.map_batches(cust_rows, batch_format="pandas"))
-             .groupby("ub").map_groups(per_bucket,
-                                       batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        orders.map_batches(order_partial, batch_format="pandas")
+        .union(cust.map_batches(cust_rows, batch_format="pandas")),
+        key_buckets("k", nb), per_bucket,
+    ).to_pandas()
     parts = _pysum_cols(parts, ["s", "s2h", "s2l"])
     rows = []
     for nk, g in parts.groupby("nk"):
@@ -10018,11 +9493,6 @@ def q_orders_key_gaps(sf_dir: str):
         return _empty_gaps
     shift = max(0, int(max_key).bit_length() - 12)
 
-    def add_rb(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "rb", pa.array((k >> np.int64(shift)).astype(np.int64)))
-
     def bucket_gaps(g: pd.DataFrame) -> pd.DataFrame:
         k = np.unique(g["k"].to_numpy(dtype=np.int64))
         d = np.diff(k)
@@ -10037,10 +9507,11 @@ def q_orders_key_gaps(sf_dir: str):
         })
         return pd.concat([out, edge], ignore_index=True)
 
-    parts = (filtered.map_batches(add_rb, batch_format="pyarrow")
-             .groupby("rb").map_groups(bucket_gaps,
-                                       batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        filtered,
+        lambda t: t.column("k").to_numpy(zero_copy_only=False) >> np.int64(shift),
+        bucket_gaps,
+    ).to_pandas()
     inner = parts[~parts["is_edge"]]
     edges = parts[parts["is_edge"]].sort_values("gap_start")
     lo = edges["gap_start"].to_numpy(dtype=np.int64)  # bucket min key
@@ -10128,9 +9599,6 @@ def q_events_type_overlap(sf_dir: str):
     each user to one int64 row."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["user_id", "event_type"])
     nb = auto_buckets(ds)
@@ -10159,8 +9627,6 @@ def q_events_type_overlap(sf_dir: str):
         })
         g = d.groupby("user_id", as_index=False)["m"].agg(
             lambda s: np.bitwise_or.reduce(s.to_numpy()))
-        g["ub"] = (hashing.mix64(g["user_id"].to_numpy().astype(
-            np.uint64)) % np.uint64(nb)).astype(np.int64)
         return g
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -10177,10 +9643,10 @@ def q_events_type_overlap(sf_dir: str):
         return pd.DataFrame(rows, columns=["i", "j", "n_both",
                                            "n_either"])
 
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("ub").map_groups(per_bucket,
-                                       batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("user_id", nb), per_bucket,
+    ).to_pandas()
     m = (parts.groupby(["i", "j"], as_index=False)
          .agg(n_both=("n_both", "sum"), n_either=("n_either", "sum")))
     m = _pysum_cols(m, ["n_both", "n_either"])
@@ -10268,15 +9734,12 @@ def q_events_interarrival(sf_dir: str):
     ~10k buckets per month of range."""
     import numpy as np
 
-    from ..stages import hashing
     from ..stages.exchange import checkpoint
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"),
         columns=["user_id", "event_type", "ts", "event_id"])
     nb = auto_buckets(ds)
-    ds = _add_user_bucket(ds, nb)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "event_type", "ts", "event_id"])
@@ -10289,8 +9752,8 @@ def q_events_interarrival(sf_dir: str):
             "event_type": et[same], "gap_sec": gap_sec[same],
         })
 
-    gaps = checkpoint(ds.groupby("ub").map_groups(
-        per_bucket, batch_format="pandas"))
+    gaps = checkpoint(
+        bucket_group_map(ds, key_buckets("user_id", nb), per_bucket))
 
     def count_partial(b: pd.DataFrame) -> pd.DataFrame:
         return (b.groupby("event_type", as_index=False)
@@ -10380,7 +9843,8 @@ def _two_sample_rank_buckets(sf_dir: str, type_a: str, type_b: str):
 
     Returns ``(bucketed, shift, off1, off2, offc, n1, n2)``:
     ``bucketed`` is a Dataset of merged per-value rows
-    ``(rb, v, d1, d2)``; the ``off*`` dicts map each occupied bucket
+    ``(v, d1, d2)`` whose bucket is ``v >> shift``
+    (:func:`_high_bits`); the ``off*`` dicts map each occupied bucket
     to the Python-int count of sample-1 / sample-2 / combined values
     in strictly LOWER buckets (≤1024 scalars on the driver; 2^10-wide
     value buckets keep grouped-stage scheduling overhead ~4x below the
@@ -10410,23 +9874,16 @@ def _two_sample_rank_buckets(sf_dir: str, type_a: str, type_b: str):
         return None
     shift = max(0, int(max_v).bit_length() - 10)
 
-    def add_rb(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["rb"] = b["v"].to_numpy(dtype=np.int64) >> np.int64(shift)
-        return b
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = (g.groupby("v", as_index=False)
-             .agg(d1=("d1", "sum"), d2=("d2", "sum")))
-        m["rb"] = g["rb"].iloc[0]
-        return m[["rb", "v", "d1", "d2"]]
+        return (g.groupby("v", as_index=False)
+                .agg(d1=("d1", "sum"), d2=("d2", "sum")))
 
     bucketed = checkpoint(
-        parts.map_batches(add_rb, batch_format="pandas")
-        .groupby("rb").map_groups(merge_bucket, batch_format="pandas"))
+        bucket_group_map(parts, _high_bits("v", shift), merge_bucket))
 
     def totals_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby("rb", as_index=False)
+        rb = b["v"].to_numpy(dtype=np.int64) >> np.int64(shift)
+        return (b.assign(rb=rb).groupby("rb", as_index=False)
                 .agg(t1=("d1", "sum"), t2=("d2", "sum")))
 
     tot = (bucketed.map_batches(totals_partial, batch_format="pandas")
@@ -10465,14 +9922,14 @@ def q_events_ks_test(sf_dir: str):
     if res is None:
         return pd.DataFrame({c: pd.Series([], dtype="int64")
                              for c in cols})
-    bucketed, _shift, off1, off2, _offc, n1, n2 = res
+    bucketed, shift, off1, off2, _offc, n1, n2 = res
     if n1 == 0 or n2 == 0:
         return pd.DataFrame({c: pd.Series([], dtype="int64")
                              for c in cols})
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("v")
-        rb = int(g["rb"].iloc[0])
+        rb = int(g["v"].iloc[0]) >> shift
         c1 = (np.cumsum(g["d1"].to_numpy(dtype=np.int64))
               + np.int64(off1[rb]))
         c2 = (np.cumsum(g["d2"].to_numpy(dtype=np.int64))
@@ -10484,8 +9941,8 @@ def q_events_ks_test(sf_dir: str):
             "at_v": [int(g["v"].to_numpy(dtype=np.int64)[i])],
         })
 
-    m = (bucketed.groupby("rb")
-         .map_groups(finalize, batch_format="pandas").to_pandas())
+    m = bucket_group_map(
+        bucketed, _high_bits("v", shift), finalize).to_pandas()
     d_num = int(m["dn"].max())
     at_v = int(m.loc[m["dn"] == d_num, "at_v"].min())
     return pd.DataFrame({
@@ -10514,14 +9971,14 @@ def q_events_mannwhitney(sf_dir: str):
     if res is None:
         return pd.DataFrame({c: pd.Series([], dtype="int64")
                              for c in cols})
-    bucketed, _shift, _off1, _off2, offc, n1, n2 = res
+    bucketed, shift, _off1, _off2, offc, n1, n2 = res
     if n1 == 0 or n2 == 0:
         return pd.DataFrame({c: pd.Series([], dtype="int64")
                              for c in cols})
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("v")
-        rb = int(g["rb"].iloc[0])
+        rb = int(g["v"].iloc[0]) >> shift
         d1 = g["d1"].to_numpy(dtype=np.int64)
         cnt = d1 + g["d2"].to_numpy(dtype=np.int64)
         cumb = (np.concatenate(([np.int64(0)], np.cumsum(cnt)[:-1]))
@@ -10531,8 +9988,8 @@ def q_events_mannwhitney(sf_dir: str):
         return pd.DataFrame({"r1p": [int(terms.sum())],
                              "tiep": [int(ties.sum())]})
 
-    m = (bucketed.groupby("rb")
-         .map_groups(finalize, batch_format="pandas").to_pandas())
+    m = bucket_group_map(
+        bucketed, _high_bits("v", shift), finalize).to_pandas()
     m = _pysum_cols(m, ["r1p", "tiep"])
     r1_x2 = sum(int(v) for v in m["r1p"])
     tie_sum = sum(int(v) for v in m["tiep"])
@@ -10557,8 +10014,9 @@ def _hour_value_cell_buckets(sf_dir: str):
     lives in exactly ONE bucket — per-value tie counts are
     bucket-local.
 
-    Returns ``(bucketed, offh, nh, n)``: ``bucketed`` is a Dataset of
-    merged cells ``(rb, h, v, c)``; ``offh`` maps each occupied bucket
+    Returns ``(bucketed, shift, offh, nh, n)``: ``bucketed`` is a
+    Dataset of merged cells ``(h, v, c)`` whose bucket is
+    ``v >> shift`` (:func:`_high_bits`); ``offh`` maps each occupied bucket
     to a 24-long Python-int list counting, per hour, the events in
     strictly LOWER buckets (≤1024×24 driver scalars); ``nh`` is the
     24-long global per-hour totals list; ``n`` the row count. Returns
@@ -10584,23 +10042,16 @@ def _hour_value_cell_buckets(sf_dir: str):
         return None
     shift = max(0, int(max_v).bit_length() - 10)
 
-    def add_rb(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["rb"] = b["v"].to_numpy(dtype=np.int64) >> np.int64(shift)
-        return b
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = (g.groupby(["h", "v"], as_index=False)
-             .agg(c=("c", "sum")))
-        m["rb"] = g["rb"].iloc[0]
-        return m[["rb", "h", "v", "c"]]
+        return (g.groupby(["h", "v"], as_index=False)
+                .agg(c=("c", "sum")))
 
     bucketed = checkpoint(
-        parts.map_batches(add_rb, batch_format="pandas")
-        .groupby("rb").map_groups(merge_bucket, batch_format="pandas"))
+        bucket_group_map(parts, _high_bits("v", shift), merge_bucket))
 
     def totals_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby(["rb", "h"], as_index=False)
+        rb = b["v"].to_numpy(dtype=np.int64) >> np.int64(shift)
+        return (b.assign(rb=rb).groupby(["rb", "h"], as_index=False)
                 .agg(t=("c", "sum")))
 
     tot = (bucketed.map_batches(totals_partial, batch_format="pandas")
@@ -10617,7 +10068,7 @@ def _hour_value_cell_buckets(sf_dir: str):
         offh[rb] = list(acc)
         acc = [a + t for a, t in zip(acc, per_rb[rb])]
     nh = acc
-    return bucketed, offh, nh, sum(nh)
+    return bucketed, shift, offh, nh, sum(nh)
 
 
 def q_events_spearman(sf_dir: str):
@@ -10641,7 +10092,7 @@ def q_events_spearman(sf_dir: str):
     if res is None:
         return pd.DataFrame({c: pd.Series([], dtype="int64")
                              for c in cols})
-    bucketed, offh, nh, n = res
+    bucketed, shift, offh, nh, n = res
     # doubled midrank per hour from the 24 global totals
     r2x, cum = [0] * 24, 0
     for h in range(24):
@@ -10650,7 +10101,7 @@ def q_events_spearman(sf_dir: str):
     offall = {rb: sum(o) for rb, o in offh.items()}
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        rb = int(g["rb"].iloc[0])
+        rb = int(g["v"].iloc[0]) >> shift
         gv = (g.groupby("v", as_index=False).agg(cv=("c", "sum"))
               .sort_values("v"))
         cv = gv["cv"].to_numpy(dtype=np.int64)
@@ -10676,8 +10127,8 @@ def q_events_spearman(sf_dir: str):
             "syyp": [str(int((co * ryo * ryo).sum()))],
         })
 
-    m = (bucketed.groupby("rb")
-         .map_groups(finalize, batch_format="pandas").to_pandas())
+    m = bucket_group_map(
+        bucketed, _high_bits("v", shift), finalize).to_pandas()
     m = _pysum_cols(m, ["sxyp", "syyp"])
     cen = n * (n + 1) * (n + 1)
     sxy = sum(int(v) for v in m["sxyp"]) - cen
@@ -10720,10 +10171,10 @@ def q_events_kendall(sf_dir: str):
     if res is None:
         return pd.DataFrame({c: pd.Series([], dtype="int64")
                              for c in cols})
-    bucketed, offh, nh, n = res
+    bucketed, shift, offh, nh, n = res
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        rb = int(g["rb"].iloc[0])
+        rb = int(g["v"].iloc[0]) >> shift
         v = g["v"].to_numpy(dtype=np.int64)
         h = g["h"].to_numpy(dtype=np.int64)
         c = g["c"].to_numpy(dtype=np.int64)
@@ -10743,8 +10194,8 @@ def q_events_kendall(sf_dir: str):
             "txyp": [int((c * (c - 1) // 2).sum())],
         })
 
-    m = (bucketed.groupby("rb")
-         .map_groups(finalize, batch_format="pandas").to_pandas())
+    m = bucket_group_map(
+        bucketed, _high_bits("v", shift), finalize).to_pandas()
     m = _pysum_cols(m, ["ncp", "typ", "txyp"])
     nc = sum(int(x) for x in m["ncp"])
     ty = sum(int(x) for x in m["typ"])
@@ -11029,8 +10480,6 @@ def q_orders_cohort(sf_dir: str):
     bounded by months² (the calendar span), never customer-scale."""
     import numpy as np
 
-    from ..stages import hashing
-
     n_buckets = 64
     ds = ray.data.read_parquet(
         _t(sf_dir, "orders"), columns=["o_custkey", "o_orderdate"])
@@ -11041,8 +10490,6 @@ def q_orders_cohort(sf_dir: str):
         df = pd.DataFrame({
             "c": b["o_custkey"].to_numpy(dtype=np.int64), "m": m,
         }).drop_duplicates()
-        df["cb"] = (hashing.mix64(df["c"].to_numpy().astype(np.uint64))
-                    % np.uint64(n_buckets)).astype(np.int64)
         return df
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -11058,9 +10505,10 @@ def q_orders_cohort(sf_dir: str):
                               as_index=False)
                 .size().rename(columns={"size": "n"}))
 
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("cb").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("c", n_buckets), fold,
+    ).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "cohort_month": pd.Series([], dtype="int64"),
@@ -11095,25 +10543,8 @@ def q_docs_hapax(sf_dir: str, n_buckets: int = 64):
     per-source scalar partials (vocab, hapax, tokens) — the driver
     merges |sources| × n_buckets rows in Python ints, never a
     term-scale table."""
-    import numpy as np
-
-    from ..stages.hashing import hash_strings64
-
     docs = ray.data.read_parquet(_t(sf_dir, "documents"),
                                  columns=["source", "text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        text = b["text"].fillna("").str.strip().str.lower()
-        d = pd.DataFrame({"source": b["source"],
-                          "toks": text.str.split()})
-        d = d[text != ""]
-        e = d.explode("toks")
-        out = (e.groupby(["source", "toks"], as_index=False)
-               .size().rename(columns={"size": "c", "toks": "term"}))
-        out["tb"] = (hash_strings64(
-            out["term"].to_numpy(dtype=object))
-            % np.uint64(n_buckets)).astype(np.int64)
-        return out[["tb", "source", "term", "c"]]
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         m = (g.groupby(["source", "term"], as_index=False)
@@ -11124,9 +10555,10 @@ def q_docs_hapax(sf_dir: str, n_buckets: int = 64):
             n_tokens=("c", "sum"))
         return out.reset_index()
 
-    parts = (docs.map_batches(partial, batch_format="pandas")
-             .groupby("tb").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        docs.map_batches(_source_term_partial, batch_format="pandas"),
+        key_buckets("term", n_buckets), fold,
+    ).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "source": pd.Series([], dtype="object"),
@@ -11163,7 +10595,6 @@ def q_events_wilcoxon(sf_dir: str):
     W⁺ ≈ 2n² caps at n ≈ 2×10⁹ paired users."""
     import numpy as np
 
-    from ..stages import hashing
     from ..stages.exchange import checkpoint
 
     n_buckets = 64
@@ -11187,8 +10618,6 @@ def q_events_wilcoxon(sf_dir: str):
         }).groupby("u", as_index=False).agg(
             sv=("sv", "sum"), sp=("sp", "sum"),
             hv=("hv", "max"), hp=("hp", "max"))
-        df["ub"] = (hashing.mix64(df["u"].to_numpy().astype(np.uint64))
-                    % np.uint64(n_buckets)).astype(np.int64)
         return df
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -11203,9 +10632,9 @@ def q_events_wilcoxon(sf_dir: str):
                 .groupby("a", as_index=False)
                 .agg(ct=("pos", "size"), cp=("pos", "sum")))
 
-    parts = checkpoint(
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("ub").map_groups(fold, batch_format="pandas"))
+    parts = checkpoint(bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("u", n_buckets), fold))
     cols = ("n_users", "w_plus_x2", "tie_sum")
     max_a = parts.max("a")
     if max_a is None:
@@ -11213,23 +10642,16 @@ def q_events_wilcoxon(sf_dir: str):
                              for c in cols})
     shift = max(0, int(max_a).bit_length() - 10)
 
-    def add_rb(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["rb"] = b["a"].to_numpy(dtype=np.int64) >> np.int64(shift)
-        return b
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = (g.groupby("a", as_index=False)
-             .agg(ct=("ct", "sum"), cp=("cp", "sum")))
-        m["rb"] = g["rb"].iloc[0]
-        return m[["rb", "a", "ct", "cp"]]
+        return (g.groupby("a", as_index=False)
+                .agg(ct=("ct", "sum"), cp=("cp", "sum")))
 
     bucketed = checkpoint(
-        parts.map_batches(add_rb, batch_format="pandas")
-        .groupby("rb").map_groups(merge_bucket,
-                                  batch_format="pandas"))
+        bucket_group_map(parts, _high_bits("a", shift), merge_bucket))
     tot = (bucketed.map_batches(
-        lambda b: b.groupby("rb", as_index=False).agg(t=("ct", "sum")),
+        lambda b: b.assign(rb=b["a"].to_numpy(dtype=np.int64)
+                           >> np.int64(shift))
+        .groupby("rb", as_index=False).agg(t=("ct", "sum")),
         batch_format="pandas").to_pandas())
     tot = _pysum_cols(tot, ["t"])
     tot = (tot.groupby("rb", as_index=False).agg(t=("t", "sum"))
@@ -11242,7 +10664,7 @@ def q_events_wilcoxon(sf_dir: str):
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("a")
-        rb = int(g["rb"].iloc[0])
+        rb = int(g["a"].iloc[0]) >> shift
         ct = g["ct"].to_numpy(dtype=np.int64)
         cp = g["cp"].to_numpy(dtype=np.int64)
         cumb = (np.concatenate(([np.int64(0)], np.cumsum(ct)[:-1]))
@@ -11253,8 +10675,8 @@ def q_events_wilcoxon(sf_dir: str):
             "tiep": [int((ct * ct * ct - ct).sum())],
         })
 
-    m = (bucketed.groupby("rb")
-         .map_groups(finalize, batch_format="pandas").to_pandas())
+    m = bucket_group_map(
+        bucketed, _high_bits("a", shift), finalize).to_pandas()
     m = _pysum_cols(m, ["wp", "tiep"])
     return pd.DataFrame({
         "n_users": pd.Series([n_users], dtype="int64"),
@@ -11383,23 +10805,16 @@ def q_events_kruskal(sf_dir: str):
         })
     shift = max(0, int(max_v).bit_length() - 10)
 
-    def add_rb(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["rb"] = b["v"].to_numpy(dtype=np.int64) >> np.int64(shift)
-        return b
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = (g.groupby(["t", "v"], as_index=False)
-             .agg(c=("c", "sum")))
-        m["rb"] = g["rb"].iloc[0]
-        return m[["rb", "t", "v", "c"]]
+        return (g.groupby(["t", "v"], as_index=False)
+                .agg(c=("c", "sum")))
 
     bucketed = checkpoint(
-        parts.map_batches(add_rb, batch_format="pandas")
-        .groupby("rb").map_groups(merge_bucket,
-                                  batch_format="pandas"))
+        bucket_group_map(parts, _high_bits("v", shift), merge_bucket))
     tot = (bucketed.map_batches(
-        lambda b: b.groupby("rb", as_index=False).agg(t=("c", "sum")),
+        lambda b: b.assign(rb=b["v"].to_numpy(dtype=np.int64)
+                           >> np.int64(shift))
+        .groupby("rb", as_index=False).agg(t=("c", "sum")),
         batch_format="pandas").to_pandas())
     tot = _pysum_cols(tot, ["t"])
     tot = (tot.groupby("rb", as_index=False).agg(t=("t", "sum"))
@@ -11410,7 +10825,7 @@ def q_events_kruskal(sf_dir: str):
         acc += int(row["t"])
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        rb = int(g["rb"].iloc[0])
+        rb = int(g["v"].iloc[0]) >> shift
         gv = (g.groupby("v", as_index=False).agg(cnt=("c", "sum"))
               .sort_values("v"))
         cnt = gv["cnt"].to_numpy(dtype=np.int64)
@@ -11431,8 +10846,8 @@ def q_events_kruskal(sf_dir: str):
         })
         return pd.concat([out, tie_row], ignore_index=True)
 
-    m = (bucketed.groupby("rb")
-         .map_groups(finalize, batch_format="pandas").to_pandas())
+    m = bucket_group_map(
+        bucketed, _high_bits("v", shift), finalize).to_pandas()
     m = _pysum_cols(m, ["p", "n", "tiep"])
     tie_sum = sum(int(v) for v in m["tiep"])
     m = m[m["t"] != "\x00tie"]
@@ -11466,8 +10881,6 @@ def q_events_friedman(sf_dir: str):
     construction)."""
     import numpy as np
 
-    from ..stages import hashing
-
     n_buckets = 64
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"),
@@ -11492,8 +10905,6 @@ def q_events_friedman(sf_dir: str):
             "u": b["user_id"].to_numpy().astype(np.int64),
             "t": b["event_type"], "s": cents,
         }).groupby(["u", "t"], as_index=False).agg(s=("s", "sum")))
-        df["ub"] = (hashing.mix64(df["u"].to_numpy().astype(np.uint64))
-                    % np.uint64(n_buckets)).astype(np.int64)
         return df
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -11523,9 +10934,10 @@ def q_events_friedman(sf_dir: str):
                                 "r2p": [0], "tiep": [tie]})
         return pd.concat([out, tie_row], ignore_index=True)
 
-    m = (ds.map_batches(partial, batch_format="pandas")
-         .groupby("ub").map_groups(fold, batch_format="pandas")
-         .to_pandas())
+    m = bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("u", n_buckets), fold,
+    ).to_pandas()
     if len(m) == 0:
         return pd.DataFrame({
             "event_type": pd.Series([], dtype="object"),
@@ -11698,23 +11110,16 @@ def q_docs_source_drift(sf_dir: str):
         })
     shift = max(0, int(max_v).bit_length() - 10)
 
-    def add_rb(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["rb"] = b["v"].to_numpy(dtype=np.int64) >> np.int64(shift)
-        return b
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = (g.groupby(["s", "v"], as_index=False)
-             .agg(c=("c", "sum")))
-        m["rb"] = g["rb"].iloc[0]
-        return m[["rb", "s", "v", "c"]]
+        return (g.groupby(["s", "v"], as_index=False)
+                .agg(c=("c", "sum")))
 
     bucketed = checkpoint(
-        parts.map_batches(add_rb, batch_format="pandas")
-        .groupby("rb").map_groups(merge_bucket,
-                                  batch_format="pandas"))
+        bucket_group_map(parts, _high_bits("v", shift), merge_bucket))
     tot = (bucketed.map_batches(
-        lambda b: b.groupby(["rb", "s"], as_index=False)
+        lambda b: b.assign(rb=b["v"].to_numpy(dtype=np.int64)
+                           >> np.int64(shift))
+        .groupby(["rb", "s"], as_index=False)
         .agg(t=("c", "sum")), batch_format="pandas").to_pandas())
     tot = _pysum_cols(tot, ["t"])
     tot = (tot.groupby(["rb", "s"], as_index=False)
@@ -11741,7 +11146,7 @@ def q_docs_source_drift(sf_dir: str):
         })
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        rb = int(g["rb"].iloc[0])
+        rb = int(g["v"].iloc[0]) >> shift
         uniq = np.sort(g["v"].unique())
         vi = np.searchsorted(uniq, g["v"].to_numpy(dtype=np.int64))
         M = np.zeros((len(uniq), S), dtype=np.int64)
@@ -11759,8 +11164,8 @@ def q_docs_source_drift(sf_dir: str):
             "dn": dm[ia, ib].astype(np.int64),
         })
 
-    m = (bucketed.groupby("rb")
-         .map_groups(finalize, batch_format="pandas").to_pandas())
+    m = bucket_group_map(
+        bucketed, _high_bits("v", shift), finalize).to_pandas()
     m = (m.groupby(["ia", "ib"], as_index=False).agg(dn=("dn", "max")))
     return pd.DataFrame({
         "src_a": [sources[int(i)] for i in m["ia"]],
@@ -12064,25 +11469,18 @@ def q_part_cramers_v(sf_dir: str):
     })
 
 
-def _source_term_partial(b: pd.DataFrame,
-                         n_buckets: int) -> pd.DataFrame:
-    """Per-batch (term-bucket, source, term, count) partial — the
-    corpus tokenization convention (fillna/strip/lower/whitespace
-    split), defined ONCE for the per-source term-census family
-    (Simpson index, unigram entropy)."""
-    import numpy as np
-
-    from ..stages.hashing import hash_strings64
-
+def _source_term_partial(b: pd.DataFrame) -> pd.DataFrame:
+    """Per-batch (source, term, count) partial — the corpus
+    tokenization convention (fillna/strip/lower/whitespace split),
+    defined ONCE for the per-source term-census family (hapax,
+    Simpson index, unigram entropy)."""
     text = b["text"].fillna("").str.strip().str.lower()
     d = pd.DataFrame({"source": b["source"], "toks": text.str.split()})
     d = d[text != ""]
     e = d.explode("toks")
     out = (e.groupby(["source", "toks"], as_index=False)
            .size().rename(columns={"size": "c", "toks": "term"}))
-    out["tb"] = (hash_strings64(out["term"].to_numpy(dtype=object))
-                 % np.uint64(n_buckets)).astype(np.int64)
-    return out[["tb", "source", "term", "c"]]
+    return out[["source", "term", "c"]]
 
 
 def q_docs_simpson(sf_dir: str, n_buckets: int = 64):
@@ -12105,9 +11503,6 @@ def q_docs_simpson(sf_dir: str, n_buckets: int = 64):
     docs = ray.data.read_parquet(_t(sf_dir, "documents"),
                                  columns=["source", "text"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return _source_term_partial(b, n_buckets)
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         m = (g.groupby(["source", "term"], as_index=False)
              .agg(c=("c", "sum")))
@@ -12118,9 +11513,10 @@ def q_docs_simpson(sf_dir: str, n_buckets: int = 64):
                          str(sum(c * (c - 1) for c in cs))))
         return pd.DataFrame(rows, columns=["source", "nt", "rp"])
 
-    parts = (docs.map_batches(partial, batch_format="pandas")
-             .groupby("tb").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        docs.map_batches(_source_term_partial, batch_format="pandas"),
+        key_buckets("term", n_buckets), fold,
+    ).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "source": pd.Series([], dtype="object"),
@@ -12430,9 +11826,7 @@ def q_customer_lorenz(sf_dir: str):
     bound guarded loud."""
     import numpy as np
 
-    from ..stages import hashing
     from ..stages.exchange import checkpoint
-    from .joins import auto_buckets
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
@@ -12441,20 +11835,16 @@ def q_customer_lorenz(sf_dir: str):
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         cents = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
         d = pd.DataFrame({"c": b["o_custkey"].to_numpy(), "v": cents})
-        out = d.groupby("c", as_index=False)["v"].sum()
-        out["ub"] = (hashing.mix64(out["c"].to_numpy().astype(np.uint64))
-                     % np.uint64(nb)).astype(np.int64)
-        return out
+        return d.groupby("c", as_index=False)["v"].sum()
 
     def per_customer(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("c", as_index=False)["v"].sum()
         return (m.groupby("v", as_index=False).size()
                 .rename(columns={"size": "cnt"}))
 
-    hist = checkpoint(
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("ub").map_groups(per_customer,
-                                  batch_format="pandas"))
+    hist = checkpoint(bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("c", nb), per_customer))
     max_v = hist.max("v")
     if max_v is None:
         return pd.DataFrame({
@@ -12464,25 +11854,17 @@ def q_customer_lorenz(sf_dir: str):
         })
     shift = max(0, int(max_v).bit_length() - 10)
 
-    def add_rb(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["rb"] = b["v"].to_numpy(dtype=np.int64) >> np.int64(shift)
-        return b
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("v", as_index=False).agg(cnt=("cnt", "sum"))
-        m["rb"] = g["rb"].iloc[0]
-        return m[["rb", "v", "cnt"]]
+        return g.groupby("v", as_index=False).agg(cnt=("cnt", "sum"))
 
     bucketed = checkpoint(
-        hist.map_batches(add_rb, batch_format="pandas")
-        .groupby("rb").map_groups(merge_bucket,
-                                  batch_format="pandas"))
+        bucket_group_map(hist, _high_bits("v", shift), merge_bucket))
 
     # per-range-bucket totals as decimal strings -> exact offsets
     def rb_tot(b: pd.DataFrame) -> pd.DataFrame:
         rows = []
-        for rb, g in b.groupby("rb"):
+        rb_of = b["v"].to_numpy(dtype=np.int64) >> np.int64(shift)
+        for rb, g in b.groupby(rb_of):
             rows.append((int(rb),
                          str(sum(int(x) for x in g["cnt"])),
                          str(sum(int(v) * int(c)
@@ -12504,7 +11886,7 @@ def q_customer_lorenz(sf_dir: str):
         accs += agg[rb][1]
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        rb = int(g["rb"].iloc[0])
+        rb = int(g["v"].iloc[0]) >> shift
         m = g.sort_values("v")
         cb, sb, part = off_n[rb], off_s[rb], 0
         for v, c in zip(m["v"], m["cnt"]):
@@ -12515,8 +11897,8 @@ def q_customer_lorenz(sf_dir: str):
         return pd.DataFrame({"p": pd.Series([str(part)],
                                             dtype="object")})
 
-    parts = (bucketed.groupby("rb")
-             .map_groups(finalize, batch_format="pandas").to_pandas())
+    parts = bucket_group_map(
+        bucketed, _high_bits("v", shift), finalize).to_pandas()
     gini2 = sum(int(v) for v in parts["p"])
     n, s = accn, accs
     gnum = 2 * gini2
@@ -12540,17 +11922,16 @@ def q_part_rich_club(sf_dir: str):
     audit (do popular parts co-sell with each other, or only with the
     tail?).
 
-    Scale shape: degrees from ONE bucketed groupby over the distinct
+    Scale shape: degrees from ONE bucketed exchange over the distinct
     directed edge set; edge thresholding via TWO `hash_join`s (deg onto
     src, deg onto dst — auto-sized buckets, no broadcast node state);
     the final fold merges |K| scalar partials per batch. Integer
     counts only — hash-exact vs the SQL degree join."""
     import numpy as np
 
-    from ..stages import hashing
     from ..stages.exchange import checkpoint
     from ..stages.graph import group_cooccurrence_edges
-    from .joins import auto_buckets, hash_join
+    from .joins import hash_join
 
     KS = (4, 8, 16, 32, 64)
     li = ray.data.read_parquet(
@@ -12562,18 +11943,16 @@ def q_part_rich_club(sf_dir: str):
     def deg_partial(b: pa.Table) -> pa.Table:
         src = b.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
         u, c = np.unique(src, return_counts=True)
-        db = (hashing.mix64(u.astype(np.uint64))
-              % np.uint64(nb)).astype(np.int64)
-        return pa.table({"db": pa.array(db), "node": pa.array(u),
+        return pa.table({"node": pa.array(u),
                          "c": pa.array(c.astype(np.int64))})
 
     def deg_fold(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("node", as_index=False).agg(deg=("c", "sum"))
         return out.astype({"node": "int64", "deg": "int64"})
 
-    degs = checkpoint(
-        edges.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("db").map_groups(deg_fold, batch_format="pandas"))
+    degs = checkpoint(bucket_group_map(
+        edges.map_batches(deg_partial, batch_format="pyarrow"),
+        key_buckets("node", nb), deg_fold))
 
     # N_k partials from the degree table
     def node_counts(b: pd.DataFrame) -> pd.DataFrame:
@@ -12638,8 +12017,6 @@ def q_docs_burstiness(sf_dir: str, n_buckets: int = 64):
     output int64-guarded."""
     import numpy as np
 
-    from ..stages.hashing import hash_strings64
-
     docs = ray.data.read_parquet(_t(sf_dir, "documents"),
                                  columns=["doc_id", "text"])
 
@@ -12655,10 +12032,7 @@ def q_docs_burstiness(sf_dir: str, n_buckets: int = 64):
         out = m.groupby("term", as_index=False).agg(
             c=("c", "sum"), c2=("c2", "sum"), df=("c", "size"))
         out["df"] = out["df"].astype("int64")
-        out["tb"] = (hash_strings64(
-            out["term"].to_numpy(dtype=object))
-            % np.uint64(n_buckets)).astype(np.int64)
-        return out[["tb", "term", "c", "c2", "df"]]
+        return out[["term", "c", "c2", "df"]]
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -12672,9 +12046,10 @@ def q_docs_burstiness(sf_dir: str, n_buckets: int = 64):
                           ascending=[False, True]).head(32)
         return m
 
-    parts = (docs.map_batches(partial, batch_format="pandas")
-             .groupby("tb").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        docs.map_batches(partial, batch_format="pandas"),
+        key_buckets("term", n_buckets), fold,
+    ).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "term": pd.Series([], dtype="object"),
@@ -12722,8 +12097,6 @@ def q_events_survival(sf_dir: str):
 
     import numpy as np
 
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type", "ts"])
     tmax = ds.max("ts")
@@ -12744,7 +12117,6 @@ def q_events_survival(sf_dir: str):
         return b.filter(m)
 
     sp = ds.map_batches(keep_sp, batch_format="pyarrow")
-    bucketed = _add_user_bucket(sp, auto_buckets(ds))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         day = (g["ts"].to_numpy(dtype="datetime64[us]")
@@ -12768,8 +12140,8 @@ def q_events_survival(sf_dir: str):
                .groupby(["dur", "ev"], as_index=False)["c"].sum())
         return out
 
-    parts = (bucketed.groupby("ub")
-             .map_groups(fold, batch_format="pandas").to_pandas())
+    parts = bucket_group_map(
+        sp, key_buckets("user_id", auto_buckets(ds)), fold).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "t_day": pd.Series([], dtype="int64"),
@@ -13080,7 +12452,6 @@ def q_docs_source_novelty(sf_dir: str, n: int = 8,
     are bucket-disjoint, so counts are additive)."""
     import numpy as np
 
-    from ..stages import hashing
     from ..stages.dedup import _gram_hash_sets
 
     docs = ray.data.read_parquet(_t(sf_dir, "documents"),
@@ -13096,10 +12467,7 @@ def q_docs_source_novelty(sf_dir: str, n: int = 8,
             "g": flat,
             "source": np.repeat(np.asarray(srcs, dtype=object), lens),
         }).drop_duplicates(["g", "source"])
-        d["gb"] = (hashing.mix64(d["g"].to_numpy(dtype=np.int64)
-                                 .view(np.uint64))
-                   % np.uint64(n_buckets)).astype(np.int64)
-        return d[["gb", "g", "source"]]
+        return d
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         m = g.drop_duplicates(["g", "source"])
@@ -13111,9 +12479,10 @@ def q_docs_source_novelty(sf_dir: str, n: int = 8,
                 .agg(n_grams=("one", "sum"),
                      novel_grams=("novel", "sum")))
 
-    parts = (docs.map_batches(emit, batch_format="pyarrow")
-             .groupby("gb").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        docs.map_batches(emit, batch_format="pyarrow"),
+        key_buckets("g", n_buckets), fold,
+    ).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "source": pd.Series([], dtype="object"),
@@ -13154,9 +12523,8 @@ def q_docs_unigram_entropy(sf_dir: str, n_buckets: int = 64):
     # ONE tokenization pass: the checkpointed term partials feed both
     # the per-source totals and the entropy fold (review fix — the
     # totals used to re-tokenize the whole corpus)
-    parts_ds = checkpoint(docs.map_batches(
-        lambda b: _source_term_partial(b, n_buckets),
-        batch_format="pandas"))
+    parts_ds = checkpoint(
+        docs.map_batches(_source_term_partial, batch_format="pandas"))
 
     def tot_partial(b: pd.DataFrame) -> pd.DataFrame:
         return b.groupby("source", as_index=False).agg(n=("c", "sum"))
@@ -13189,9 +12557,8 @@ def q_docs_unigram_entropy(sf_dir: str, n_buckets: int = 64):
             rows.append((src, len(gs), str(h)))
         return pd.DataFrame(rows, columns=["source", "vocab", "h"])
 
-    parts = (parts_ds.groupby("tb")
-             .map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        parts_ds, key_buckets("term", n_buckets), fold).to_pandas()
     rows = []
     for src, g in parts.groupby("source"):
         h = sum(int(v) for v in g["h"])
@@ -13708,19 +13075,12 @@ def q_events_srm(sf_dir: str):
     per-bucket distinct-parity counts are exact scalar partials."""
     import numpy as np
 
-    from ..stages import hashing
-    from .joins import auto_buckets
-
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["user_id"])
     nb = auto_buckets(ds)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        u = np.unique(b["user_id"].to_numpy())
-        d = pd.DataFrame({"u": u})
-        d["ub"] = (hashing.mix64(u.astype(np.uint64))
-                   % np.uint64(nb)).astype(np.int64)
-        return d
+        return pd.DataFrame({"u": np.unique(b["user_id"].to_numpy())})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         u = g["u"].drop_duplicates().to_numpy()
@@ -13729,9 +13089,10 @@ def q_events_srm(sf_dir: str):
                              "n_b": pd.Series([len(u) - a],
                                               dtype="int64")})
 
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("ub").map_groups(fold, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_group_map(
+        ds.map_batches(partial, batch_format="pandas"),
+        key_buckets("u", nb), fold,
+    ).to_pandas()
     if len(parts) == 0:
         return pd.DataFrame({
             "n_a": pd.Series([0], dtype="int64"),

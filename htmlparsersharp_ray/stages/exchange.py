@@ -1,4 +1,4 @@
-"""Arrow-IPC blob exchange — the scale shape for bucketed groupbys.
+"""Arrow-IPC blob exchange — the one owner of bucketed per-key work.
 
 Ray Data's ``groupby`` is a sort-based all-to-all over RAW ROWS: a
 pipeline that emits one row per (doc, gram) or (doc, bigram) pushes
@@ -10,10 +10,10 @@ Packing each batch's per-bucket slices into ONE Arrow-IPC blob per
 binary rows instead, while the per-bucket callable still sees exactly
 the rows it would have seen (zero-parse IPC deserialize + concat).
 
-This generalizes the two-sided exchange inside ``pipelines/joins.py``
-(hash_join) and the flagship pipeline's disk shuffle
-(extract_pipeline.py:97-215) into a reusable single-input primitive.
-Reference n/a — engine-level utility.
+:func:`bucket_group_map` is the single-input form and
+``pipelines/joins.py::hash_join`` the two-sided one; both bucket a key
+with :func:`key_hash64`, so :func:`key_buckets` puts a key in the same
+bucket ``hash_join`` does. Reference n/a — engine-level utility.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import pyarrow as pa
 import pyarrow.ipc
 
 import ray.data
+
+from . import hashing
 
 
 def serialize_table(table: pa.Table) -> bytes:
@@ -48,6 +50,38 @@ def split_sorted(table: pa.Table, sorted_buckets: np.ndarray):
     blobs = [serialize_table(table.slice(lo, hi - lo))
              for lo, hi in zip(starts, ends)]
     return uniq, blobs
+
+
+def key_hash64(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Deterministic pre-mod uint64 hash per key value, fully vectorized.
+    Int keys splitmix; string keys dictionary-encode then hash unique
+    values in one C pass. Nulls hash to a fixed slot — callers enforce
+    SQL null-join semantics by filtering (see joins.hash_join)."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if pa.types.is_integer(arr.type):
+        x = (arr.cast(pa.int64()).fill_null(0)
+             .to_numpy(zero_copy_only=False).astype(np.uint64))
+        return hashing.mix64(x)
+    enc = arr.dictionary_encode()
+    vals = [str(v) for v in enc.dictionary.to_pylist()] + [""]
+    # a null key takes the slot after the dictionary: it hashes as ""
+    codes = (enc.indices.fill_null(len(vals) - 1)
+             .to_numpy(zero_copy_only=False).astype(np.int64))
+    return hashing.hash_strings64(
+        np.asarray(vals, dtype=object), categorize=False)[codes]
+
+
+def key_buckets(col: str, n_buckets: int):
+    """``bucket_of`` for :func:`bucket_group_map`: the key-hash bucket
+    of column ``col`` in ``[0, n_buckets)``, the same bucket
+    ``hash_join`` gives that key."""
+    nb = np.uint64(n_buckets)
+
+    def bucket_of(batch: pa.Table) -> np.ndarray:
+        return (key_hash64(batch.column(col)) % nb).astype(np.int64)
+
+    return bucket_of
 
 
 def bucket_group_map(ds: ray.data.Dataset, bucket_of, fn):

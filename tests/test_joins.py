@@ -384,12 +384,13 @@ def test_join_planner_full_takes_shuffle_path(ray_session, tmp_path):
 
 
 def test_bucket_group_map_matches_plain_map_groups(ray_session):
-    """bucket_group_map == map_batches(tag) -> groupby -> map_groups:
-    same rows for an order-insensitive per-bucket aggregate, across
-    multi-block inputs, empty buckets never reaching fn."""
+    """bucket_group_map == a pandas groupby on the key: same rows for
+    an order-insensitive per-key aggregate, across multi-block inputs,
+    empty buckets never reaching fn — with a positional callable and
+    with key_buckets on an int and on a string key."""
     import numpy as np
-    import ray.data
-    from htmlparsersharp_ray.pipelines.joins import bucket_group_map
+    from htmlparsersharp_ray.stages.exchange import (bucket_group_map,
+                                                     key_buckets)
 
     rng = np.random.default_rng(7)
     df = pd.DataFrame({
@@ -397,30 +398,61 @@ def test_bucket_group_map_matches_plain_map_groups(ray_session):
         "v": rng.integers(-1000, 1000, size=500),
         "s": [f"s{i % 13}" for i in range(500)],
     })
+    cases = [
+        ("k", lambda t: t.column("k").to_numpy() % 8),
+        ("k", key_buckets("k", 8)),
+        ("s", key_buckets("s", 8)),
+    ]
+    for key, bucket_of in cases:
+        other = "s" if key == "k" else "k"
 
-    def agg(g: pd.DataFrame) -> pd.DataFrame:
-        assert len(g) > 0  # empty buckets must never reach fn
-        return (g.groupby("k", as_index=False)
-                 .agg(total=("v", "sum"), n=("v", "size"),
-                      smin=("s", "min")))
+        def agg(g: pd.DataFrame, key=key, other=other) -> pd.DataFrame:
+            assert len(g) > 0  # empty buckets must never reach fn
+            return (g.groupby(key, as_index=False)
+                     .agg(total=("v", "sum"), n=("v", "size"),
+                          omin=(other, "min")))
 
-    got = bucket_group_map(
-        _mk_ds(df, n_blocks=6),
-        lambda t: t.column("k").to_numpy() % 8,
-        agg,
-    ).to_pandas().sort_values("k").reset_index(drop=True)
+        got = bucket_group_map(
+            _mk_ds(df, n_blocks=6), bucket_of, agg,
+        ).to_pandas().sort_values(key).reset_index(drop=True)
 
-    want = (df.groupby("k", as_index=False)
-              .agg(total=("v", "sum"), n=("v", "size"), smin=("s", "min"))
-              .sort_values("k").reset_index(drop=True))
-    pd.testing.assert_frame_equal(
-        got.astype({"total": "int64", "n": "int64"}),
-        want.astype({"total": "int64", "n": "int64"}))
+        want = (df.groupby(key, as_index=False)
+                  .agg(total=("v", "sum"), n=("v", "size"),
+                       omin=(other, "min"))
+                  .sort_values(key).reset_index(drop=True))
+        pd.testing.assert_frame_equal(
+            got.astype({"total": "int64", "n": "int64"}),
+            want.astype({"total": "int64", "n": "int64"}))
+
+
+@pytest.mark.parametrize("keys", [
+    pa.array([5, 17, 5, -3, 2**40, 0, None, 17], pa.int64()),
+    pa.array(["a", "b", "a", "", None, "ccc", "b", "zz"]),
+], ids=["int", "str"])
+def test_key_buckets_match_hash_join_buckets(keys):
+    """A key lands in the same bucket under key_buckets and under
+    hash_join's exchange, so the two exchanges co-partition."""
+    from htmlparsersharp_ray.pipelines.joins import _to_exchange_rows
+    from htmlparsersharp_ray.stages.exchange import (deserialize_table,
+                                                     key_buckets)
+
+    table = pa.table({"k": keys, "row": pa.array(range(len(keys)))})
+    mine = key_buckets("k", 16)(table)
+    rows = _to_exchange_rows(0, "k", 16, drop_null_keys=True)(table)
+    seen = 0
+    for bucket, blob in zip(rows.column("bucket").to_pylist(),
+                            rows.column("blob").to_pylist()):
+        for r in deserialize_table(blob).column("row").to_pylist():
+            assert mine[r] == bucket
+            seen += 1
+    assert seen == len(keys) - keys.null_count
+    # a null key has one fixed bucket, whatever batch it arrives in
+    nulls = pa.table({"k": pa.nulls(3, keys.type)})
+    assert len(set(key_buckets("k", 16)(nulls))) == 1
 
 
 def test_bucket_group_map_empty_input(ray_session):
-    import ray.data
-    from htmlparsersharp_ray.pipelines.joins import bucket_group_map
+    from htmlparsersharp_ray.stages.exchange import bucket_group_map
 
     df = pd.DataFrame({"k": pd.Series([], dtype="int64"),
                        "v": pd.Series([], dtype="int64")})
