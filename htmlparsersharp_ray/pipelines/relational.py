@@ -92,6 +92,40 @@ def _bitlen64(a):
     return out
 
 
+def _views_and_purchases(batch: pa.Table) -> pa.Table:
+    """The ``view`` and ``purchase`` rows of an events batch."""
+    mask = pc.is_in(batch.column("event_type"),
+                    value_set=pa.array(["view", "purchase"]))
+    return batch.filter(mask)
+
+
+def _view_purchase_cents(b: pd.DataFrame) -> pd.DataFrame:
+    """Per-batch histogram of event ``value`` in integer cents:
+    ``(v, d1, d2)`` = view and purchase counts at cent value ``v``."""
+    import numpy as np
+
+    t = b["event_type"].to_numpy()
+    m = (t == "view") | (t == "purchase")
+    v = np.round(b["value"].to_numpy()[m] * 100).astype(np.int64)
+    is1 = (t[m] == "view").astype(np.int64)
+    return (pd.DataFrame({"v": v, "d1": is1, "d2": 1 - is1})
+            .groupby("v", as_index=False)
+            .agg(d1=("d1", "sum"), d2=("d2", "sum")))
+
+
+def _quantile_cont(v, q: float) -> float:
+    """DuckDB ``quantile_cont`` over the sorted array ``v``: position
+    h = q·(n−1), result v[⌊h⌋]·(1−frac) + v[⌈h⌉]·frac."""
+    import math
+
+    n = len(v)
+    h = q * (n - 1)
+    lo = math.floor(h)
+    hi = min(lo + 1, n - 1)
+    frac = h - lo
+    return float(v[lo] * (1 - frac) + v[hi] * frac)
+
+
 def _high_bits(col: str, shift: int):
     """``bucket_of`` for the sort-free rank scans: the high bits of the
     int64 column ``col``. Buckets are globally ordered (an arithmetic
@@ -854,13 +888,6 @@ def q_events_asof(sf_dir: str):
         _t(sf_dir, "events"), columns=["event_id", "user_id", "event_type", "ts"]
     )
 
-    def pre(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(
-            batch.column("event_type"),
-            value_set=pa.array(["view", "purchase"]),
-        )
-        return batch.filter(mask)
-
     def asof(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
         is_view = (g["event_type"] == "view").to_numpy()
@@ -890,7 +917,7 @@ def q_events_asof(sf_dir: str):
         return out
 
     out = bucket_group_map(
-        ds.map_batches(pre, batch_format="pyarrow"),
+        ds.map_batches(_views_and_purchases, batch_format="pyarrow"),
         key_buckets("user_id", auto_buckets(ds)), asof,
     ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
@@ -1444,8 +1471,6 @@ def q_part_quantiles_cont(sf_dir: str):
     exact by Sterbenz, so the oracle match is hash-exact despite the
     interpolation. Same shuffle shape as q_part_quantiles: 25 brands →
     direct low-cardinality groupby, sort-per-group on a worker."""
-    import math
-
     import numpy as np
 
     ds = ray.data.read_parquet(
@@ -1454,21 +1479,12 @@ def q_part_quantiles_cont(sf_dir: str):
 
     def qtile(g: pd.DataFrame) -> pd.DataFrame:
         v = np.sort(g["p_retailprice"].to_numpy())
-        n = len(v)
-
-        def pick(q):
-            h = q * (n - 1)
-            lo = math.floor(h)
-            hi = min(lo + 1, n - 1)
-            frac = h - lo
-            return float(v[lo] * (1 - frac) + v[hi] * frac)
-
         return pd.DataFrame({
             "p_brand": [g["p_brand"].iloc[0]],
-            "p25": [pick(0.25)],
-            "median": [pick(0.5)],
-            "p90": [pick(0.9)],
-            "n_parts": [n],
+            "p25": [_quantile_cont(v, 0.25)],
+            "median": [_quantile_cont(v, 0.5)],
+            "p90": [_quantile_cont(v, 0.9)],
+            "n_parts": [len(v)],
         })
 
     out = ds.groupby("p_brand").map_groups(qtile, batch_format="pandas")
@@ -2465,8 +2481,6 @@ def q_part_winsorize(sf_dir: str):
     (brand, lo, hi) table broadcasts via ray.put; pass 2 clips every
     row vectorized — min/max SELECT values, they never do float
     arithmetic, so the clipped prices are carried inputs."""
-    import math
-
     import numpy as np
 
     ds = ray.data.read_parquet(
@@ -2475,19 +2489,10 @@ def q_part_winsorize(sf_dir: str):
 
     def edges(g: pd.DataFrame) -> pd.DataFrame:
         v = np.sort(g["p_retailprice"].to_numpy())
-        n = len(v)
-
-        def pick(q):
-            h = q * (n - 1)
-            lo = math.floor(h)
-            hi = min(lo + 1, n - 1)
-            frac = h - lo
-            return float(v[lo] * (1 - frac) + v[hi] * frac)
-
         return pd.DataFrame({
             "p_brand": [g["p_brand"].iloc[0]],
-            "lo": [pick(0.05)],
-            "hi": [pick(0.95)],
+            "lo": [_quantile_cont(v, 0.05)],
+            "hi": [_quantile_cont(v, 0.95)],
         })
 
     band = (
@@ -7105,11 +7110,6 @@ def q_events_windowed_join(sf_dir: str):
         columns=["event_id", "user_id", "event_type", "ts"],
     )
 
-    def pre(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array(["view", "purchase"]))
-        return batch.filter(mask)
-
     def wjoin(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
             "purchase_id": pd.Series([], dtype="int64"),
@@ -7182,7 +7182,7 @@ def q_events_windowed_join(sf_dir: str):
         })
 
     out = bucket_group_map(
-        ds.map_batches(pre, batch_format="pyarrow"),
+        ds.map_batches(_views_and_purchases, batch_format="pyarrow"),
         key_buckets("user_id", auto_buckets(ds)), wjoin,
     ).to_pandas()
     if len(out) == 0:
@@ -10235,16 +10235,7 @@ def q_events_hodges_lehmann(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["event_type", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["event_type"].to_numpy()
-        m = (t == "view") | (t == "purchase")
-        v = np.round(b["value"].to_numpy()[m] * 100).astype(np.int64)
-        is1 = (t[m] == "view").astype(np.int64)
-        return (pd.DataFrame({"v": v, "d1": is1, "d2": 1 - is1})
-                .groupby("v", as_index=False)
-                .agg(d1=("d1", "sum"), d2=("d2", "sum")))
-
-    hist = (ds.map_batches(partial, batch_format="pandas")
+    hist = (ds.map_batches(_view_purchase_cents, batch_format="pandas")
             .to_pandas())
     cols = ("n1", "n2", "hl_x2")
     empty = pd.DataFrame({c: pd.Series([], dtype="int64")
@@ -10367,16 +10358,7 @@ def q_events_quantile_map(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["event_type", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["event_type"].to_numpy()
-        m = (t == "view") | (t == "purchase")
-        v = np.round(b["value"].to_numpy()[m] * 100).astype(np.int64)
-        is1 = (t[m] == "view").astype(np.int64)
-        return (pd.DataFrame({"v": v, "d1": is1, "d2": 1 - is1})
-                .groupby("v", as_index=False)
-                .agg(d1=("d1", "sum"), d2=("d2", "sum")))
-
-    hist = (ds.map_batches(partial, batch_format="pandas")
+    hist = (ds.map_batches(_view_purchase_cents, batch_format="pandas")
             .to_pandas())
     cols = ("v", "n", "r", "mapped")
     empty = pd.DataFrame({c: pd.Series([], dtype="int64")

@@ -39,10 +39,12 @@ _PERM_B = _RNG.integers(0, _MERSENNE, size=_N_PERM, dtype=np.int64).astype(np.ui
 # Replacement: ONE pandas hash_array C pass per BATCH of tokens, then
 # numpy-vectorized polynomial window combining + a splitmix64 finalizer
 # for shingles/bands (shared primitives in stages/hashing.py).
-from .hashing import _WMUL
+from .exchange import checkpoint
+from .hashing import _N_JOIN_BUCKETS, _WMUL, _ibucket, _pair_bucket
 from .hashing import hash_strings64 as _hash_tokens64
 from .hashing import mix64 as _mix64
 from .hashing import popcount64 as _popcount64
+from .hashing import token_hashes as _token_hashes
 from .hashing import window_hashes as _window_hashes
 
 
@@ -50,21 +52,6 @@ def add_md5(batch: pa.Table) -> pa.Table:
     """Vectorized-enough content hash (hashlib.md5 is a C call per row)."""
     hashes = [hashlib.md5(t.encode()).hexdigest() for t in batch.column("text").to_pylist()]
     return batch.append_column("text_md5", pa.array(hashes, pa.string()))
-
-
-# Small fixed bucket count for join-style shuffles: Ray's per-GROUP
-# map_groups/aggregate overhead is ~1 ms (VERDICT r1), so grouping by a
-# high-cardinality key directly is a scale bug. Instead every exchange
-# here groups by key-hash % _N_JOIN_BUCKETS and VECTORIZES within the
-# bucket (pandas merge/groupby are C loops).
-_N_JOIN_BUCKETS = 64
-
-
-def _ibucket(x: np.ndarray, n: int = _N_JOIN_BUCKETS) -> np.ndarray:
-    """Deterministic bucket of an int64 key array (mixes bits so
-    consecutive ids spread)."""
-    h = (x.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-    return (h % np.uint64(n)).astype(np.int64)
 
 
 def exact_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -112,13 +99,9 @@ def _shingle_hash_sets(texts: list, n: int = 3) -> list[np.ndarray]:
     windows combine with the vectorized order-sensitive polynomial.
     Jaccard over these equals Jaccard over the shingle strings up to
     64-bit collisions (~S²/2⁶⁴ — negligible at any realistic doc size)."""
-    toks = [(t or "").split() for t in texts]
-    counts = np.array([len(x) for x in toks], dtype=np.int64)
-    flat = np.asarray([w for x in toks for w in x], dtype=object)
-    th = _hash_tokens64(flat)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    th, offsets = _token_hashes(texts)
     out = []
-    for i, c in enumerate(counts):
+    for i, c in enumerate(np.diff(offsets)):
         if c == 0:
             out.append(np.empty(0, dtype=np.int64))
             continue
@@ -214,10 +197,6 @@ def _bucket_pairs_coarse(group: pd.DataFrame) -> pd.DataFrame:
                              "doc_b": pd.Series([], dtype="int64")})
     return pd.DataFrame({"doc_a": np.concatenate(out_a).astype("int64"),
                          "doc_b": np.concatenate(out_b).astype("int64")})
-
-
-def _pair_bucket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _ibucket(a * np.int64(1000003) + b)
 
 
 # is_req is a NON-NULL bool row-kind marker: a nullable int64 column
@@ -332,14 +311,14 @@ def _verify_pairs_exact(
                 batch.column("doc_a").to_numpy(zero_copy_only=False),
                 batch.column("doc_b").to_numpy(zero_copy_only=False),
             ]).astype(np.int64)
-            return pa.table({"blob": pa.array([_bloom_from_ids(ids).tobytes()],
+            return pa.table({"bits": pa.array([_bloom_from_ids(ids).tobytes()],
                                               pa.large_binary())})
 
         def or_blooms(batch: pa.Table) -> pa.Table:
             acc = np.zeros(_BLOOM_BITS // 8, dtype=np.uint8)
-            for blob in batch.column("blob"):
-                acc |= np.frombuffer(blob.as_py(), dtype=np.uint8)
-            return pa.table({"blob": pa.array([acc.tobytes()], pa.large_binary())})
+            for bits in batch.column("bits"):
+                acc |= np.frombuffer(bits.as_py(), dtype=np.uint8)
+            return pa.table({"bits": pa.array([acc.tobytes()], pa.large_binary())})
 
         merged = (
             cand.map_batches(batch_bloom, batch_format="pyarrow")
@@ -348,7 +327,7 @@ def _verify_pairs_exact(
             .take(1)  # ONE fixed-size 128 KB blob — never O(corpus)
         )
         bloom = (
-            np.frombuffer(merged[0]["blob"], dtype=np.uint8)
+            np.frombuffer(merged[0]["bits"], dtype=np.uint8)
             if merged else np.zeros(_BLOOM_BITS // 8, dtype=np.uint8)
         )
         bloom_ref = _ray.put(bloom)
@@ -509,6 +488,41 @@ def _pairs_to_pandas(pairs: ray.data.Dataset) -> pd.DataFrame:
     )
 
 
+def _token_df_rows(docs: ray.data.Dataset, n: int,
+                   nb: int) -> ray.data.Dataset:
+    """The first two stages of both prefix-filter joins: doc → distinct
+    shingle-hash rows ``(token, doc_id, s)`` (``s`` = set size), then
+    ONE ``nb``-way token-bucket exchange attaches each token's document
+    frequency ``df`` and keys the rows by doc bucket ``db``."""
+
+    def token_rows(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
+        sets = _shingle_hash_sets(batch.column("text").to_pylist(), n)
+        sizes = np.array([s.size for s in sets], dtype=np.int64)
+        tok = np.concatenate(sets) if sets else np.empty(0, np.int64)
+        tok = tok.astype(np.int64)
+        return pa.table({
+            "tb": pa.array(_ibucket(tok, nb)),
+            "token": pa.array(tok),
+            "doc_id": pa.array(np.repeat(ids, sizes)),
+            "s": pa.array(np.repeat(sizes, sizes)),
+        })
+
+    def attach_df(group: pd.DataFrame) -> pd.DataFrame:
+        # rows are one-per-(doc, token), so a token's document frequency
+        # is simply its row count in this group — no second exchange
+        out = group[["token", "doc_id", "s"]].copy()
+        out["df"] = group.groupby("token")["token"].transform("size").astype("int64")
+        out["db"] = _ibucket(out["doc_id"].to_numpy(), nb)
+        return out
+
+    return (
+        docs.map_batches(token_rows, batch_format="pyarrow", batch_size=512)
+        .groupby("tb")
+        .map_groups(attach_df, batch_format="pandas")
+    )
+
+
 def jaccard_prefix_pairs_ds(
     docs: ray.data.Dataset, jaccard_threshold: float = 0.4, n: int = 3,
     prune: bool = True, pair_filter=None,
@@ -555,27 +569,6 @@ def jaccard_prefix_pairs_ds(
 
     nb = int(auto_buckets(docs))
 
-    def token_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
-        sets = _shingle_hash_sets(batch.column("text").to_pylist(), n)
-        sizes = np.array([s.size for s in sets], dtype=np.int64)
-        tok = np.concatenate(sets) if sets else np.empty(0, np.int64)
-        tok = tok.astype(np.int64)
-        return pa.table({
-            "tb": pa.array(_ibucket(tok, nb)),
-            "token": pa.array(tok),
-            "doc_id": pa.array(np.repeat(ids, sizes)),
-            "s": pa.array(np.repeat(sizes, sizes)),
-        })
-
-    def attach_df(group: pd.DataFrame) -> pd.DataFrame:
-        # rows are one-per-(doc, token), so a token's document frequency
-        # is simply its row count in this group — no second exchange
-        out = group[["token", "doc_id", "s"]].copy()
-        out["df"] = group.groupby("token")["token"].transform("size").astype("int64")
-        out["db"] = _ibucket(out["doc_id"].to_numpy(), nb)
-        return out
-
     def prefixes(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["doc_id", "df", "token"], kind="mergesort")
         rank = g.groupby("doc_id").cumcount().to_numpy()
@@ -608,9 +601,7 @@ def jaccard_prefix_pairs_ds(
         })
 
     raw = (
-        docs.map_batches(token_rows, batch_format="pyarrow", batch_size=512)
-        .groupby("tb")
-        .map_groups(attach_df, batch_format="pandas")
+        _token_df_rows(docs, n, nb)
         .groupby("db")
         .map_groups(prefixes, batch_format="pandas")
         .groupby("tb")
@@ -662,25 +653,6 @@ def containment_pairs_ds(
 
     nb = int(auto_buckets(docs))
 
-    def token_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
-        sets = _shingle_hash_sets(batch.column("text").to_pylist(), n)
-        sizes = np.array([s.size for s in sets], dtype=np.int64)
-        tok = np.concatenate(sets) if sets else np.empty(0, np.int64)
-        tok = tok.astype(np.int64)
-        return pa.table({
-            "tb": pa.array(_ibucket(tok, nb)),
-            "token": pa.array(tok),
-            "doc_id": pa.array(np.repeat(ids, sizes)),
-            "s": pa.array(np.repeat(sizes, sizes)),
-        })
-
-    def attach_df(group: pd.DataFrame) -> pd.DataFrame:
-        out = group[["token", "doc_id", "s"]].copy()
-        out["df"] = group.groupby("token")["token"].transform("size").astype("int64")
-        out["db"] = _ibucket(out["doc_id"].to_numpy(), nb)
-        return out
-
     def index_and_prefix(group: pd.DataFrame) -> pd.DataFrame:
         """Per doc: ALL tokens as index rows (side 0) + the containment
         prefix (rank < s − ceil(t·s) + 1 under (df, token) order) as
@@ -727,9 +699,7 @@ def containment_pairs_ds(
         })
 
     raw = (
-        docs.map_batches(token_rows, batch_format="pyarrow", batch_size=512)
-        .groupby("tb")
-        .map_groups(attach_df, batch_format="pandas")
+        _token_df_rows(docs, n, nb)
         .groupby("db")
         .map_groups(index_and_prefix, batch_format="pandas")
         .groupby("tb")
@@ -850,10 +820,8 @@ def _simhash64(text: str) -> int:
 class SimHashUDF:
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
-        toks = [(t or "").split() for t in batch.column("text").to_pylist()]
-        counts = np.array([len(x) for x in toks], dtype=np.int64)
-        flat = np.asarray([w for x in toks for w in x], dtype=object)
-        sigs = _simhash_batch(_hash_tokens64(flat), counts)
+        th, offsets = _token_hashes(batch.column("text").to_pylist())
+        sigs = _simhash_batch(th, np.diff(offsets))
         return pa.table(
             {
                 "doc_id": pa.array(doc_ids, pa.int64()),
@@ -1027,13 +995,9 @@ def _gram_hash_sets(texts: list, n: int) -> list[np.ndarray]:
     :func:`_shingle_hash_sets`, which collapses short docs to one
     whole-text shingle for Jaccard). One batch-wide token-hash pass +
     vectorized window polynomial, like the rest of the dedup family."""
-    toks = [(t or "").split() for t in texts]
-    counts = np.array([len(x) for x in toks], dtype=np.int64)
-    flat = np.asarray([w for x in toks for w in x], dtype=object)
-    th = _hash_tokens64(flat)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    th, offsets = _token_hashes(texts)
     out = []
-    for i, c in enumerate(counts):
+    for i, c in enumerate(np.diff(offsets)):
         if c < n:
             out.append(np.empty(0, dtype=np.int64))
             continue
@@ -1372,8 +1336,6 @@ def dup_clusters(
             "is_lab": pa.array(np.zeros(2 * len(a), dtype=bool)),
         }, schema=_schema)
 
-    from .exchange import checkpoint
-
     sym = checkpoint(edges.map_batches(to_sym_edges, batch_format="pyarrow"))
 
     def init_labels(batch: pa.Table) -> pa.Table:
@@ -1520,14 +1482,13 @@ def cluster_survivors(
     hash join (by id) + one cluster-hash-bucketed argmax; nothing
     driver-resident but the survivors."""
     from ..pipelines.joins import hash_join
-    from . import hashing
 
     joined = hash_join(labels, meta, id_col, id_col, how="inner",
                        n_buckets=n_buckets)
 
     def add_cb(b: pa.Table) -> pa.Table:
         c = b.column("cluster_rep").to_numpy(zero_copy_only=False)
-        cb = (hashing.mix64(c.astype(np.uint64))
+        cb = (_mix64(c.astype(np.uint64))
               % np.uint64(n_buckets)).astype(np.int64)
         return b.append_column("cb", pa.array(cb))
 
@@ -1572,7 +1533,6 @@ def gram_dups(
     counts are additive across buckets because the gram sets they count
     are disjoint by construction. Docs sharing nothing are absent from
     the output (mirrored by the oracle's inner join)."""
-    from . import hashing
 
     def emit(batch: pa.Table) -> pd.DataFrame:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1580,7 +1540,7 @@ def gram_dups(
         lens = np.array([len(s) for s in sets], dtype=np.int64)
         flat = (np.concatenate(sets) if lens.sum()
                 else np.empty(0, dtype=np.int64))
-        gb = (hashing.mix64(flat.view(np.uint64))
+        gb = (_mix64(flat.view(np.uint64))
               % np.uint64(n_buckets)).astype(np.int64)
         return pd.DataFrame({
             "gb": gb,
@@ -1613,6 +1573,49 @@ def gram_dups(
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
+def _gram_occurrences(batch: pa.Table, n: int,
+                      n_buckets: int) -> pd.DataFrame:
+    """One ``(gb, g, doc_id, pos)`` row per word-``n``-gram occurrence
+    (gram hash ``g`` at word position ``pos``), ``gb`` its gram-hash
+    bucket: the first exchange's input in :func:`dup_coverage` and
+    :func:`dedup_trim`. Docs under ``n`` words emit nothing."""
+    ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
+    th, offsets = _token_hashes(batch.column("text").to_pylist())
+    gs, ds, ps = [], [], []
+    for i, c in enumerate(np.diff(offsets)):
+        if c < n:
+            continue
+        wh = _window_hashes(th[offsets[i]:offsets[i + 1]], n)
+        gs.append(wh.view(np.int64))
+        ds.append(np.full(len(wh), ids[i], dtype=np.int64))
+        ps.append(np.arange(len(wh), dtype=np.int64))
+    g = np.concatenate(gs) if gs else np.empty(0, dtype=np.int64)
+    return pd.DataFrame({
+        "gb": (_mix64(g.view(np.uint64))
+               % np.uint64(n_buckets)).astype(np.int64),
+        "g": g,
+        "doc_id": (np.concatenate(ds) if ds
+                   else np.empty(0, dtype=np.int64)),
+        "pos": (np.concatenate(ps) if ps
+                else np.empty(0, dtype=np.int64)),
+    })
+
+
+def _dup_occurrences(grp: pd.DataFrame, n_buckets: int) -> pd.DataFrame:
+    """The ``(db, doc_id, pos)`` occurrences, keyed by doc-hash bucket
+    ``db``, of every gram in a gram-bucket group that is seen in >= 2
+    DISTINCT docs (within-doc repeats alone don't count — mirrors the
+    oracle's COUNT(DISTINCT))."""
+    ndocs = grp.groupby("g")["doc_id"].transform("nunique")
+    occ = grp[ndocs >= 2]
+    return pd.DataFrame({
+        "db": (_mix64(occ["doc_id"].to_numpy().astype(np.uint64))
+               % np.uint64(n_buckets)).astype(np.int64),
+        "doc_id": occ["doc_id"].to_numpy(dtype=np.int64),
+        "pos": occ["pos"].to_numpy(dtype=np.int64),
+    })
+
+
 def dup_coverage(
     docs: ray.data.Dataset, n: int = 8, n_buckets: int = 64
 ) -> pd.DataFrame:
@@ -1635,48 +1638,10 @@ def dup_coverage(
     union is Σ min(gap, n) + n, vectorized across the whole bucket).
     Every doc appears in the output (n_words rows ride exchange 2), so
     clean docs report coverage 0."""
-    from . import hashing
-
-    def emit_occurrences(batch: pa.Table) -> pd.DataFrame:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        toks = [(t or "").split()
-                for t in batch.column("text").to_pylist()]
-        counts = np.array([len(x) for x in toks], dtype=np.int64)
-        flat = np.asarray([w for x in toks for w in x], dtype=object)
-        th = _hash_tokens64(flat)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        gs, ds, ps = [], [], []
-        for i, c in enumerate(counts):
-            if c < n:
-                continue
-            wh = _window_hashes(th[offsets[i]:offsets[i + 1]], n)
-            gs.append(wh.view(np.int64))
-            ds.append(np.full(len(wh), ids[i], dtype=np.int64))
-            ps.append(np.arange(len(wh), dtype=np.int64))
-        g = np.concatenate(gs) if gs else np.empty(0, dtype=np.int64)
-        return pd.DataFrame({
-            "gb": (hashing.mix64(g.view(np.uint64))
-                   % np.uint64(n_buckets)).astype(np.int64),
-            "g": g,
-            "doc_id": (np.concatenate(ds) if ds
-                       else np.empty(0, dtype=np.int64)),
-            "pos": (np.concatenate(ps) if ps
-                    else np.empty(0, dtype=np.int64)),
-        })
 
     def forward_dups(grp: pd.DataFrame) -> pd.DataFrame:
-        # dup = gram seen in >= 2 DISTINCT docs (within-doc repeats
-        # alone don't count — mirrors the oracle's COUNT(DISTINCT))
-        ndocs = grp.groupby("g")["doc_id"].transform("nunique")
-        occ = grp[ndocs >= 2]
-        return pd.DataFrame({
-            "db": (hashing.mix64(occ["doc_id"].to_numpy()
-                                 .astype(np.uint64))
-                   % np.uint64(n_buckets)).astype(np.int64),
-            "doc_id": occ["doc_id"].to_numpy(),
-            "pos": occ["pos"].to_numpy(),
-            "n_words": np.full(len(occ), -1, dtype=np.int64),
-        })
+        occ = _dup_occurrences(grp, n_buckets)
+        return occ.assign(n_words=np.full(len(occ), -1, dtype=np.int64))
 
     def emit_lengths(batch: pa.Table) -> pd.DataFrame:
         ids = batch.column("doc_id").to_numpy(
@@ -1685,7 +1650,7 @@ def dup_coverage(
                        for t in batch.column("text").to_pylist()],
                       dtype=np.int64)
         return pd.DataFrame({
-            "db": (hashing.mix64(ids.view(np.uint64))
+            "db": (_mix64(ids.view(np.uint64))
                    % np.uint64(n_buckets)).astype(np.int64),
             "doc_id": ids,
             "pos": np.full(len(ids), -1, dtype=np.int64),
@@ -1726,7 +1691,8 @@ def dup_coverage(
         })
 
     occurrences = (
-        docs.map_batches(emit_occurrences, batch_format="pyarrow")
+        docs.map_batches(_gram_occurrences, batch_format="pyarrow",
+                         fn_kwargs={"n": n, "n_buckets": n_buckets})
         .groupby("gb")
         .map_groups(forward_dups, batch_format="pandas")
     )
@@ -1763,14 +1729,13 @@ def chunk_dedup(
     chunk was dropped emit nothing (matches the SQL oracle's GROUP BY).
     """
     from ..pipelines.joins import auto_buckets
-    from .hashing import hash_strings64, mix64
     from .text_analysis import chunk_docs
 
     nb = int(n_buckets or auto_buckets(docs))
     chunks = chunk_docs(docs, window=window, stride=window)
 
     def add_cb(b: pd.DataFrame) -> pd.DataFrame:
-        h = hash_strings64(b["chunk_text"].to_numpy(), categorize=False)
+        h = _hash_tokens64(b["chunk_text"].to_numpy(), categorize=False)
         return pd.DataFrame({
             "cb": (h % np.uint64(nb)).astype("int64"),
             "doc_id": b["doc_id"].astype("int64"),
@@ -1782,7 +1747,7 @@ def chunk_dedup(
         g = g.sort_values(["doc_id", "chunk_idx"], kind="stable")
         out = g.loc[~g.duplicated("chunk_text", keep="first"),
                     ["doc_id", "chunk_idx", "chunk_text"]].copy()
-        db = (mix64(out["doc_id"].to_numpy().astype(np.uint64))
+        db = (_mix64(out["doc_id"].to_numpy().astype(np.uint64))
               % np.uint64(nb)).astype(np.int64)
         return out.assign(db=db)
 
@@ -1835,7 +1800,6 @@ def fingerprint_dups(
     import hashlib
 
     from ..pipelines.joins import auto_buckets
-    from . import hashing
 
     nb = int(n_buckets or auto_buckets(docs))
 
@@ -1860,7 +1824,7 @@ def fingerprint_dups(
             ids.extend([doc_id] * len(sel))
             fps.extend(sel)
         fp_arr = np.asarray(fps, dtype=object)
-        fb = ((hashing.hash_strings64(fp_arr) % np.uint64(nb))
+        fb = ((_hash_tokens64(fp_arr) % np.uint64(nb))
               .astype(np.int64) if len(fp_arr) else
               np.empty(0, dtype=np.int64))
         return pd.DataFrame({
@@ -1938,58 +1902,22 @@ def dedup_trim(
     covered docs emit n_kept = 0 with empty text. Output joins kept
     words with single spaces (the oracle's array_to_string mirror)."""
     from ..pipelines.joins import auto_buckets
-    from . import hashing
 
     # lo=64: these exchanges are groupby-parallelism bound well before
     # they are memory bound (measured 2x on a 100k-doc slice at lo=8)
     n_buckets = int(n_buckets or auto_buckets(docs, lo=64))
 
-    def emit_occurrences(batch: pa.Table) -> pd.DataFrame:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        toks = [(t or "").split()
-                for t in batch.column("text").to_pylist()]
-        counts = np.array([len(x) for x in toks], dtype=np.int64)
-        flat = np.asarray([w for x in toks for w in x], dtype=object)
-        th = _hash_tokens64(flat)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        gs, ds, ps = [], [], []
-        for i, c in enumerate(counts):
-            if c < n:
-                continue
-            wh = _window_hashes(th[offsets[i]:offsets[i + 1]], n)
-            gs.append(wh.view(np.int64))
-            ds.append(np.full(len(wh), ids[i], dtype=np.int64))
-            ps.append(np.arange(len(wh), dtype=np.int64))
-        g = np.concatenate(gs) if gs else np.empty(0, dtype=np.int64)
-        return pd.DataFrame({
-            "gb": (hashing.mix64(g.view(np.uint64))
-                   % np.uint64(n_buckets)).astype(np.int64),
-            "g": g,
-            "doc_id": (np.concatenate(ds) if ds
-                       else np.empty(0, dtype=np.int64)),
-            "pos": (np.concatenate(ps) if ps
-                    else np.empty(0, dtype=np.int64)),
-        })
-
     def forward_dups(grp: pd.DataFrame) -> pd.DataFrame:
-        ndocs = grp.groupby("g")["doc_id"].transform("nunique")
-        occ = grp[ndocs >= 2]
-        return pd.DataFrame({
-            "db": (hashing.mix64(occ["doc_id"].to_numpy()
-                                 .astype(np.uint64))
-                   % np.uint64(n_buckets)).astype(np.int64),
-            "doc_id": occ["doc_id"].to_numpy(dtype=np.int64),
-            "pos": occ["pos"].to_numpy(dtype=np.int64),
-            "is_txt": np.zeros(len(occ), dtype=bool),
-            "text": np.full(len(occ), "", dtype=object),
-        })
+        occ = _dup_occurrences(grp, n_buckets)
+        return occ.assign(is_txt=np.zeros(len(occ), dtype=bool),
+                          text=np.full(len(occ), "", dtype=object))
 
     def emit_texts(batch: pa.Table) -> pd.DataFrame:
         ids = batch.column("doc_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
         txt = batch.column("text").to_pylist()
         return pd.DataFrame({
-            "db": (hashing.mix64(ids.view(np.uint64))
+            "db": (_mix64(ids.view(np.uint64))
                    % np.uint64(n_buckets)).astype(np.int64),
             "doc_id": ids,
             "pos": np.full(len(ids), -1, dtype=np.int64),
@@ -2032,9 +1960,8 @@ def dedup_trim(
             "text_trimmed": pd.Series(out_text, dtype="object"),
         })
 
-    from .exchange import checkpoint
-
-    occ = (docs.map_batches(emit_occurrences, batch_format="pyarrow")
+    occ = (docs.map_batches(_gram_occurrences, batch_format="pyarrow",
+                            fn_kwargs={"n": n, "n_buckets": n_buckets})
            .groupby("gb").map_groups(forward_dups,
                                      batch_format="pandas"))
     texts = docs.map_batches(emit_texts, batch_format="pyarrow")
@@ -2069,24 +1996,18 @@ def longest_dup_span(
     handful of spans) broadcast into the text-extraction pass. Empty
     result (0 rows) when no ``min_len``-gram repeats across docs."""
     from ..pipelines.joins import auto_buckets
-    from . import hashing
-    from .exchange import checkpoint
 
     n_buckets = int(n_buckets or auto_buckets(docs, lo=64))
 
     def tok(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        toks = [(t or "").split()
-                for t in batch.column("text").to_pylist()]
-        counts = np.array([len(x) for x in toks], dtype=np.int64)
-        flat = np.asarray([w for x in toks for w in x], dtype=object)
-        th = _hash_tokens64(flat).view(np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
+        th, offsets = _token_hashes(batch.column("text").to_pylist())
+        th = th.view(np.int64)
         return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
-            "nw": pa.array(counts, pa.int64()),
+            "nw": pa.array(np.diff(offsets), pa.int64()),
             "th": pa.array([th[offsets[i]:offsets[i + 1]].tolist()
-                            for i in range(len(counts))],
+                            for i in range(len(ids))],
                            pa.list_(pa.int64())),
         })
 
@@ -2113,7 +2034,7 @@ def longest_dup_span(
             ds.append(np.full(len(wh), did, dtype=np.int64))
         g = np.concatenate(gs) if gs else np.empty(0, dtype=np.int64)
         return pd.DataFrame({
-            "gb": (hashing.mix64(g.view(np.uint64))
+            "gb": (_mix64(g.view(np.uint64))
                    % np.uint64(n_buckets)).astype(np.int64),
             "g": g,
             "doc_id": (np.concatenate(ds) if ds

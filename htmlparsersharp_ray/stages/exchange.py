@@ -13,7 +13,19 @@ the rows it would have seen (zero-parse IPC deserialize + concat).
 :func:`bucket_group_map` is the single-input form and
 ``pipelines/joins.py::hash_join`` the two-sided one; both bucket a key
 with :func:`key_hash64`, so :func:`key_buckets` puts a key in the same
-bucket ``hash_join`` does. Reference n/a — engine-level utility.
+bucket ``hash_join`` does.
+
+A blob row is an int64 ``bucket`` plus one IPC ``blob``
+(:data:`BLOB_SCHEMA`). Only this module builds and reads them:
+:func:`pack_by` (one row per occupied bucket of a table),
+:func:`blob_row` (a whole table in one bucket) and :func:`unpack` (a
+bucket group's tables) serve :func:`bucket_group_map` and the graph
+operators in ``stages/graph.py`` (pagerank, label_propagation, sssp,
+bfs_hops, kcore, triangle_counts, edge_support), whose blob rows carry
+edges and per-node state from one superstep to the next.
+``hash_join``'s rows add a ``side`` column and salting and are built
+in ``joins.py`` from :func:`split_sorted`. Reference n/a — engine-level
+utility.
 """
 
 from __future__ import annotations
@@ -44,12 +56,43 @@ def deserialize_table(blob: bytes) -> pa.Table:
 def split_sorted(table: pa.Table, sorted_buckets: np.ndarray):
     """(bucket ids, IPC blobs) for a table whose rows are already
     sorted by ``sorted_buckets`` — the shared tail of every blob-pack
-    path (here and joins.py::_to_exchange_rows)."""
+    path (:func:`pack_by` and joins.py::_to_exchange_rows)."""
     uniq, starts = np.unique(sorted_buckets, return_index=True)
     ends = np.append(starts[1:], len(sorted_buckets))
     blobs = [serialize_table(table.slice(lo, hi - lo))
              for lo, hi in zip(starts, ends)]
     return uniq, blobs
+
+
+BLOB_SCHEMA = pa.schema([("bucket", pa.int64()), ("blob", pa.large_binary())])
+
+EMPTY_BLOBS = BLOB_SCHEMA.empty_table()
+
+
+def pack_by(table: pa.Table, buckets: np.ndarray) -> pa.Table:
+    """One blob row per occupied bucket of ``table`` (``buckets`` holds
+    each row's bucket id); 0 rows give an empty blob table."""
+    if table.num_rows == 0:
+        return EMPTY_BLOBS
+    order = np.argsort(buckets, kind="stable")
+    uniq, blobs = split_sorted(table.take(pa.array(order)), buckets[order])
+    return pa.table({
+        "bucket": pa.array(uniq.astype(np.int64)),
+        "blob": pa.array(blobs, pa.large_binary()),
+    }, schema=BLOB_SCHEMA)
+
+
+def blob_row(table: pa.Table, bucket: int) -> pa.Table:
+    """``table`` as ONE blob row in ``bucket``."""
+    return pa.table({
+        "bucket": pa.array([bucket], pa.int64()),
+        "blob": pa.array([serialize_table(table)], pa.large_binary()),
+    }, schema=BLOB_SCHEMA)
+
+
+def unpack(group: pd.DataFrame) -> list[pa.Table]:
+    """The tables packed into a group's blob rows, in row order."""
+    return [deserialize_table(b) for b in group["blob"]]
 
 
 def key_hash64(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -100,27 +143,17 @@ def bucket_group_map(ds: ray.data.Dataset, bucket_of, fn):
 
     def pack(batch: pa.Table) -> pa.Table:
         batch = batch.replace_schema_metadata(None)
-        if batch.num_rows == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "blob": pa.array([], pa.large_binary())})
-        buckets = np.asarray(bucket_of(batch), dtype=np.int64)
-        order = np.argsort(buckets, kind="stable")
-        uniq, blobs = split_sorted(batch.take(pa.array(order)),
-                                   buckets[order])
-        return pa.table({
-            "bucket": pa.array(uniq.astype(np.int64)),
-            "blob": pa.array(blobs, pa.large_binary()),
-        })
+        if batch.num_rows == 0:   # bucket_of never sees an empty batch
+            return EMPTY_BLOBS
+        return pack_by(batch, np.asarray(bucket_of(batch), dtype=np.int64))
 
-    def unpack(group: pd.DataFrame) -> pd.DataFrame:
-        tabs = [deserialize_table(b) for b in group["blob"]]
-        df = pa.concat_tables(tabs).to_pandas()
-        return fn(df)
+    def unpack_fn(group: pd.DataFrame) -> pd.DataFrame:
+        return fn(pa.concat_tables(unpack(group)).to_pandas())
 
     return (
         ds.map_batches(pack, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(unpack, batch_format="pandas")
+        .map_groups(unpack_fn, batch_format="pandas")
     )
 
 

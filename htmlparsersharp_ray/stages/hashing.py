@@ -27,6 +27,17 @@ def hash_strings64(vals: np.ndarray, categorize: bool = True) -> np.ndarray:
     return pd.util.hash_array(vals, categorize=categorize)
 
 
+def token_hashes(texts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Whitespace tokens of every text, hashed in ONE
+    :func:`hash_strings64` pass: ``(hashes, offsets)``, where text i's
+    token hashes are ``hashes[offsets[i]:offsets[i + 1]]``. None reads
+    as the empty text."""
+    toks = [(t or "").split() for t in texts]
+    counts = np.array([len(x) for x in toks], dtype=np.int64)
+    flat = np.asarray([w for x in toks for w in x], dtype=object)
+    return hash_strings64(flat), np.concatenate([[0], np.cumsum(counts)])
+
+
 def mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer — bijective avalanche over uint64."""
     x = x.astype(np.uint64, copy=True)
@@ -58,3 +69,22 @@ def popcount64(x: np.ndarray) -> np.ndarray:
         (x >> np.uint64(2)) & np.uint64(0x3333333333333333))
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
+# Small fixed bucket count for join-style shuffles: Ray's per-GROUP
+# map_groups/aggregate overhead is ~1 ms, so grouping by a
+# high-cardinality key directly is a scale bug. Instead the dedup and
+# graph exchanges group by key-hash % _N_JOIN_BUCKETS and VECTORIZE
+# within the bucket (pandas merge/groupby are C loops).
+_N_JOIN_BUCKETS = 64
+
+
+def _ibucket(x: np.ndarray, n: int = _N_JOIN_BUCKETS) -> np.ndarray:
+    """Deterministic bucket of an int64 key array (mixes bits so
+    consecutive ids spread)."""
+    h = (x.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
+    return (h % np.uint64(n)).astype(np.int64)
+
+
+def _pair_bucket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _ibucket(a * np.int64(1000003) + b)

@@ -372,23 +372,10 @@ class TableExtractUDF:
     it runs as Ray Data tasks; iterative DOM walks (no recursion
     limit)."""
 
-    @staticmethod
-    def _text_of(node) -> str:
-        from ..html.dom import Text
-
-        parts = []
-        stack = list(reversed(node.children))
-        while stack:
-            c = stack.pop()
-            if isinstance(c, Text):
-                parts.append(c.data)
-            else:
-                stack.extend(reversed(c.children))
-        return "".join(parts)
-
     def _rows_of(self, html: str):
         from ..html.dom import Element
         from ..html.parser import parse
+        from .structured import element_text
 
         root = parse(html).root
         # first <table> in document order (iterative preorder)
@@ -410,7 +397,7 @@ class TableExtractUDF:
                 tds = [c for c in node.children
                        if isinstance(c, Element) and c.name == "td"]
                 if tds:
-                    out.append([self._text_of(td) for td in tds])
+                    out.append([element_text(td) for td in tds])
                 continue  # no nested tables in this corpus shape
             stack.extend(reversed(node.children))
         return out

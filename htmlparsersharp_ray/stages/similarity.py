@@ -108,6 +108,15 @@ class CosineTopK:
         )
 
 
+def _top_k_ranked(group: pd.DataFrame, k: int) -> pd.DataFrame:
+    """One query's ``k`` best candidates by (cosine DESC, vec_id ASC),
+    with their 1-based ``rank``: the final merge of the top-k scans."""
+    g = group.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
+    g = g.reset_index(drop=True)
+    g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
+    return g
+
+
 def brute_force_topk(
     emb_ds: ray.data.Dataset, queries: dict[int, np.ndarray], k: int = 10
 ) -> pd.DataFrame:
@@ -122,15 +131,8 @@ def brute_force_topk(
         concurrency=(1, 2),
     )
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["cosine", "vec_id"], ascending=[False, True]
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    out = partial.groupby("query_id").map_groups(merge, batch_format="pandas")
+    out = partial.groupby("query_id").map_groups(
+        _top_k_ranked, batch_format="pandas", fn_kwargs={"k": k})
     return (
         out.to_pandas()
         .sort_values(["query_id", "rank"])
@@ -343,13 +345,8 @@ def ivf_topk(
         .map_groups(scan, batch_format="pandas")
     )
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    out = partial.groupby("query_id").map_groups(merge, batch_format="pandas")
+    out = partial.groupby("query_id").map_groups(
+        _top_k_ranked, batch_format="pandas", fn_kwargs={"k": k})
     return out.to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 

@@ -80,14 +80,14 @@ def hll_merged(ds: ray.data.Dataset, column: str) -> np.ndarray:
     Bloom prune, stages/dedup.py)."""
     def batch_regs(batch: pa.Table) -> pa.Table:
         regs = hll_registers(_key_hash(batch.column(column)))
-        return pa.table({"blob": pa.array([regs.tobytes()], pa.large_binary())})
+        return pa.table({"regs": pa.array([regs.tobytes()], pa.large_binary())})
 
     def max_merge(batch: pa.Table) -> pa.Table:
         acc = np.zeros(_M, dtype=np.uint8)
-        for blob in batch.column("blob"):
-            np.maximum(acc, np.frombuffer(blob.as_py(), dtype=np.uint8),
+        for regs in batch.column("regs"):
+            np.maximum(acc, np.frombuffer(regs.as_py(), dtype=np.uint8),
                        out=acc)
-        return pa.table({"blob": pa.array([acc.tobytes()], pa.large_binary())})
+        return pa.table({"regs": pa.array([acc.tobytes()], pa.large_binary())})
 
     merged = (
         ds.map_batches(batch_regs, batch_format="pyarrow")
@@ -95,7 +95,7 @@ def hll_merged(ds: ray.data.Dataset, column: str) -> np.ndarray:
         .map_batches(max_merge, batch_format="pyarrow", batch_size=None)
         .take(1)
     )
-    return (np.frombuffer(merged[0]["blob"], dtype=np.uint8)
+    return (np.frombuffer(merged[0]["regs"], dtype=np.uint8)
             if merged else np.zeros(_M, dtype=np.uint8))
 
 

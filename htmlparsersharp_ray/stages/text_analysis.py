@@ -236,18 +236,14 @@ class FingerprintFastUDF:
     WINDOW = 5
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .hashing import hash_strings64, mix64, window_hashes
+        from .hashing import mix64, token_hashes, window_hashes
 
         texts = batch.column("text").to_pylist()
-        toks = [(t or "").split() for t in texts]
-        counts = np.array([len(x) for x in toks], dtype=np.int64)
-        flat = np.asarray([w for x in toks for w in x], dtype=object)
-        th = hash_strings64(flat)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
+        th, offsets = token_hashes(texts)
         empty_fp = mix64(np.zeros(1, dtype=np.uint64))[0]
         out = np.empty(len(texts), dtype=np.uint64)
         w = self.WINDOW
-        for i, c in enumerate(counts):
+        for i, c in enumerate(np.diff(offsets)):
             if c == 0:
                 out[i] = empty_fp
                 continue
