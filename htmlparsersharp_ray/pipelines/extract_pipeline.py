@@ -12,7 +12,7 @@ Boundary map (SURVEY.md §3.4):
 
 Shuffle design: the bucket exchange is an EXPLICIT disk-backed shuffle —
 each parse-side writer batch becomes ONE bucket-sorted parquet file whose
-row groups align with bucket boundaries plus a sidecar JSON index
+row groups align with bucket boundaries, indexed by its own footer
 (map-side-merged shuffle files; names content-keyed so task retries
 overwrite rather than duplicate), then the finalize tasks (the touched
 buckets packed into at most one task per cluster CPU) read each bucket's
@@ -26,9 +26,10 @@ is bounded by one bucket at a time. On a multi-node cluster the
 partial/final dirs live on the shared filesystem/object store the job
 already writes to.
 
-Skew handling per north_rule: bucket = crc32(conv_id, turn_idx // salt_cap)
-% n_buckets — conversations shorter than ``salt_cap`` land in exactly one
-bucket (bucket files are fully sorted per conversation); the giant
+Skew handling per north_rule: bucket = mix64(siphash(conv_id) ^
+mix64(turn_idx // salt_cap)) % n_buckets (see ``AddBucket``) —
+conversations shorter than ``salt_cap`` land in exactly one bucket
+(bucket files are fully sorted per conversation); the giant
 conversation splits into deterministic turn-ranges across buckets, each
 range sorted internally, recorded in lineage. This is the "salted groupby
 + per-partition size capping" the north rule names.
@@ -40,8 +41,10 @@ bucket, and completed buckets are skipped at the read.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -71,16 +74,7 @@ class AddBucket:
     one pandas hash_array C pass over the (small) dictionary; per-row
     work is numpy take/xor/mod. Semantics unchanged: conversations
     shorter than salt_cap land in exactly one bucket; longer ones split
-    into deterministic turn-ranges.
-
-    MIGRATION (r2→r3): the hash family changed from
-    crc32(f"{conv}#{turn//cap}") to the above, so individual rows land
-    in different buckets than round 2 and per-bucket lineage text_md5
-    values differ. Final OUTPUT is unaffected — extraction results are
-    per-row and the graded query concatenates + sorts all buckets;
-    pytest invariants (per-bucket ordering, determinism across
-    concurrency, giant-conversation splitting, resume) cover the new
-    assignment."""
+    into deterministic turn-ranges."""
 
     def __init__(self, n_buckets: int = DEFAULT_N_BUCKETS,
                  salt_cap: int = DEFAULT_SALT_CAP, skip_buckets=None):
@@ -120,11 +114,16 @@ def _partial_dir(out_dir: str, run_id: str) -> str:
     return os.path.join(out_dir, "_partial", f"run-{run_id}")
 
 
+# schema-metadata key of a shuffle file's index: the JSON list of the
+# bucket id of each row group, in row-group order
+_SHUFFLE_BUCKETS = b"shuffle_buckets"
+
+
 class PartialWriter:
-    """Map stage: write each batch as ONE bucket-sorted parquet file whose
-    row groups align with bucket boundaries, plus a sidecar JSON index
-    (bucket → row-group ordinals) — the classic map-side-merged shuffle
-    file. Finalize reads only its bucket's row groups via parquet
+    """Map stage: write each batch as ONE bucket-sorted parquet file with
+    one row group per bucket, whose bucket ids ride in the file's schema
+    metadata — the classic map-side-merged shuffle file, indexed by its
+    own footer. Finalize reads only its bucket's row groups via parquet
     row-group pruning. File names are content-keyed (md5 over the raw
     Arrow key buffers) so a retried task overwrites its own file instead
     of duplicating rows."""
@@ -133,8 +132,6 @@ class PartialWriter:
         self.pdir = _partial_dir(out_dir, run_id)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import json
-
         os.makedirs(self.pdir, exist_ok=True)
         order = pc.sort_indices(batch.column("bucket"))
         batch = batch.take(order)
@@ -151,16 +148,13 @@ class PartialWriter:
         path = os.path.join(self.pdir, f"part-{name}.parquet")
         tmp = path + f".tmp-{os.getpid()}"
         body = batch.drop_columns(["bucket"])
-        index = {}
-        with pq.ParquetWriter(tmp, body.schema, compression="none") as writer:
-            for gi, bucket in enumerate(uniq):
+        schema = body.schema.with_metadata(
+            {_SHUFFLE_BUCKETS: json.dumps([int(b) for b in uniq])})
+        with pq.ParquetWriter(tmp, schema, compression="none") as writer:
+            for gi in range(len(uniq)):
                 lo, hi = bounds[gi], bounds[gi + 1]
                 writer.write_table(body.slice(lo, hi - lo))
-                index[int(bucket)] = index.get(int(bucket), []) + [gi]
         os.rename(tmp, path)
-        with open(path + ".idx.tmp", "w") as f:
-            json.dump(index, f)
-        os.rename(path + ".idx.tmp", path + ".idx")
         return pa.table(
             {
                 "bucket": pa.array([int(b) for b in uniq], pa.int32()),
@@ -205,60 +199,56 @@ def _md5_join_strings(col: pa.ChunkedArray) -> str:
 
 
 def _finalize_bucket(out_dir: str, run_id: str):
-    """Finalize every bucket of the batch: load the shuffle indexes once,
-    then per bucket read its row groups, sort, write final atomically,
-    record lineage."""
+    """Finalize every bucket of the batch: open each shuffle file once
+    and read its footer index, then per bucket read its row groups,
+    sort, write final atomically, record lineage."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        import json
-
         pdir = _partial_dir(out_dir, run_id)
-        shuffle_files = sorted(glob.glob(os.path.join(pdir, "part-*.parquet")))
-        indexes = []
-        for f in shuffle_files:
-            with open(f + ".idx") as fh:
-                indexes.append(json.load(fh))
         results = {"bucket": [], "rows": [], "text_md5": []}
-        for bucket in batch.column("bucket").to_pylist():
-            key = str(bucket)
-            pieces = []
-            for f, idx in zip(shuffle_files, indexes):
-                groups = idx.get(key)
-                if groups:
-                    pieces.append(pq.ParquetFile(f).read_row_groups(groups))
-            if not pieces:
-                continue
-            table = pa.concat_tables(pieces)
-            table = table.sort_by(
-                [("conv_id", "ascending"), ("turn_idx", "ascending")]
-            )
-            path = lineage.write_bucket_parquet(out_dir, bucket, table)
-            text_hash = _md5_join_strings(table.column("extracted_text"))
-            convs = table.column("conv_id")
-            metrics = table.column("metrics").combine_chunks()
-            msum = {
-                field: int(pc.sum(metrics.field(field)).as_py() or 0)
-                for field in ("nodes", "tokens", "parse_errors", "boilerplate_bytes")
-            }
-            msum["truncated_rows"] = int(
-                pc.sum(pc.cast(metrics.field("truncated"), pa.int64())).as_py() or 0
-            )
-            lineage.record_bucket(
-                out_dir,
-                bucket,
-                {
-                    "bucket": bucket,
-                    "rows": table.num_rows,
-                    "conv_min": pc.min(convs).as_py(),
-                    "conv_max": pc.max(convs).as_py(),
-                    "text_md5": text_hash,
-                    "path": path,
-                    "metrics": msum,
-                },
-            )
-            results["bucket"].append(bucket)
-            results["rows"].append(table.num_rows)
-            results["text_md5"].append(text_hash)
+        with contextlib.ExitStack() as stack:
+            shuffle = []  # (open file, bucket -> row group)
+            for f in sorted(glob.glob(os.path.join(pdir, "part-*.parquet"))):
+                pf = stack.enter_context(pq.ParquetFile(f))
+                ids = json.loads(pf.schema_arrow.metadata[_SHUFFLE_BUCKETS])
+                shuffle.append((pf, {b: gi for gi, b in enumerate(ids)}))
+            for bucket in batch.column("bucket").to_pylist():
+                pieces = [pf.read_row_group(groups[bucket])
+                          for pf, groups in shuffle if bucket in groups]
+                if not pieces:
+                    continue
+                # the shuffle index stays out of the final bucket file
+                table = pa.concat_tables(pieces).replace_schema_metadata(None)
+                table = table.sort_by(
+                    [("conv_id", "ascending"), ("turn_idx", "ascending")]
+                )
+                path = lineage.write_bucket_parquet(out_dir, bucket, table)
+                text_hash = _md5_join_strings(table.column("extracted_text"))
+                convs = table.column("conv_id")
+                metrics = table.column("metrics").combine_chunks()
+                msum = {
+                    field: int(pc.sum(metrics.field(field)).as_py() or 0)
+                    for field in ("nodes", "tokens", "parse_errors", "boilerplate_bytes")
+                }
+                msum["truncated_rows"] = int(
+                    pc.sum(pc.cast(metrics.field("truncated"), pa.int64())).as_py() or 0
+                )
+                lineage.record_bucket(
+                    out_dir,
+                    bucket,
+                    {
+                        "bucket": bucket,
+                        "rows": table.num_rows,
+                        "conv_min": pc.min(convs).as_py(),
+                        "conv_max": pc.max(convs).as_py(),
+                        "text_md5": text_hash,
+                        "path": path,
+                        "metrics": msum,
+                    },
+                )
+                results["bucket"].append(bucket)
+                results["rows"].append(table.num_rows)
+                results["text_md5"].append(text_hash)
         return pa.table(
             {
                 "bucket": pa.array(results["bucket"], pa.int32()),
@@ -372,8 +362,6 @@ def metrics_summary(out_dir: str) -> dict:
     """Global extraction metrics from the per-bucket lineage records
     (north_star: nodes parsed, tokens emitted, boilerplate bytes dropped) —
     no data re-read; sums the per-partition partials."""
-    import json
-
     totals = {"rows": 0, "nodes": 0, "tokens": 0, "parse_errors": 0,
               "boilerplate_bytes": 0, "truncated_rows": 0, "buckets": 0}
     ldir = lineage.lineage_dir(out_dir)

@@ -4,18 +4,20 @@ every round-1 join broadcast the small side; this is the missing general
 case).
 
 Design (Ray-Data-native; the two-sided form of
-``stages/exchange.py::bucket_group_map``, whose key hash it shares):
+``stages/exchange.py::bucket_group_map``, whose blob rows and key
+buckets it uses):
 
-  1. Each side maps its batches to compact exchange rows
-     (bucket, side, blob) where ``blob`` is the Arrow-IPC-serialized
-     sub-table of the batch's rows hashing to that bucket. One row per
-     (batch × bucket × side) — the shuffle moves O(n_buckets) binary
-     blobs per batch, not per-row Python objects.
+  1. Each side maps its batches to ``exchange.pack_by`` blob rows
+     (bucket, blob) plus an int8 ``side`` column, where ``blob`` is the
+     Arrow-IPC sub-table of the batch's rows whose key falls in that
+     ``exchange.key_buckets`` bucket. One row per (batch × bucket ×
+     side) — the shuffle moves O(n_buckets) binary blobs per batch,
+     not per-row Python objects.
   2. A single ``groupby("bucket")`` is the only all-to-all exchange; both
      sides land in the same group.
-  3. Inside each bucket group the blobs deserialize zero-parse (Arrow
-     IPC), concat per side, and a C-vectorized pandas merge emits the
-     joined rows.
+  3. Inside each bucket group ``exchange.unpack`` reads the blobs
+     zero-parse (Arrow IPC), they concat per side, and a C-vectorized
+     pandas merge emits the joined rows.
 
 Bucket count bounds the group count (Ray's per-group overhead is ~1 ms),
 and key-hash bucketing balances skew for typical keys; a hot key still
@@ -33,24 +35,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.ipc
 
 import ray.data
 
-from ..stages.exchange import deserialize_table as _deserialize
-from ..stages.exchange import key_hash64
-from ..stages.exchange import serialize_table as _serialize
-from ..stages.exchange import split_sorted as _split_sorted
-
-_EXCHANGE_SCHEMA = pa.schema([
-    ("bucket", pa.int64()),
-    ("side", pa.int8()),
-    ("blob", pa.large_binary()),
-])
-
-# variant → bucket perturbation for hot-key salting (odd constant so every
-# variant lands in a distinct bucket stream)
-_SALT_STEP = np.uint64(0x9E3779B97F4A7C15)
+from ..stages.exchange import blob_row, key_buckets, pack_by, unpack
 
 
 def auto_buckets(
@@ -90,63 +78,29 @@ def auto_buckets(
 
 
 def _to_exchange_rows(side: int, key: str, n_buckets: int,
-                      drop_null_keys: bool, salt: int = 1, hot_keys=None,
-                      null_bucket: int | None = None):
-    hot = list(hot_keys) if (hot_keys and salt > 1) else None
+                      drop_null_keys: bool, null_bucket: int | None = None):
+    """``exchange.pack_by`` rows of one join side, tagged with an int8
+    ``side`` column; null-key rows are dropped, sent to ``null_bucket``
+    or (neither) hashed like any key."""
+    bucket_of = key_buckets(key, n_buckets)
 
     def fn(batch: pa.Table) -> pa.Table:
         batch = batch.replace_schema_metadata(None)
         col = batch.column(key)
-        null_blob = None
-        if col.null_count:
-            if drop_null_keys:
-                batch = batch.filter(pc.is_valid(col))
-                col = batch.column(key)
-            elif null_bucket is not None:
+        null_rows = []
+        if col.null_count and (drop_null_keys or null_bucket is not None):
+            valid = pc.is_valid(col)
+            if not drop_null_keys:
                 # FULL joins keep null-key rows but they match nothing:
                 # route them to a reserved one-sided bucket so the merge
                 # null-fills them without any chance of NaN-matching the
                 # other side's nulls (SQL NULL-join semantics).
-                valid = pc.is_valid(col)
-                null_blob = _serialize(batch.filter(pc.invert(valid)))
-                batch = batch.filter(valid)
-                col = batch.column(key)
-        h = key_hash64(col)
-        idx = np.arange(batch.num_rows, dtype=np.int64)
-        variants = np.zeros(batch.num_rows, dtype=np.uint64)
-        if hot is not None:
-            keys_np = col.to_numpy(zero_copy_only=False)
-            hot_mask = np.isin(keys_np, hot)
-            if side == 0 and hot_mask.any():
-                # fan hot left rows round-robin across salt variants
-                variants[hot_mask] = (
-                    np.arange(int(hot_mask.sum()), dtype=np.uint64)
-                    % np.uint64(salt)
-                )
-            elif side == 1 and hot_mask.any():
-                # replicate hot right rows into every salted variant
-                extra_idx = np.tile(idx[hot_mask], salt - 1)
-                extra_var = np.repeat(
-                    np.arange(1, salt, dtype=np.uint64),
-                    int(hot_mask.sum()),
-                )
-                idx = np.concatenate([idx, extra_idx])
-                variants = np.concatenate([variants, extra_var])
-                h = np.concatenate([h, np.tile(h[hot_mask], salt - 1)])
-        buckets = ((h + variants * _SALT_STEP) % np.uint64(n_buckets)).astype(np.int64)
-        order = np.argsort(buckets, kind="stable")
-        uniq, blobs = _split_sorted(batch.take(pa.array(idx[order])),
-                                    buckets[order])
-        out_bucket = [int(b) for b in uniq]
-        out_blob = list(blobs)
-        if null_blob is not None:
-            out_bucket.append(null_bucket)
-            out_blob.append(null_blob)
-        return pa.table({
-            "bucket": pa.array(out_bucket, pa.int64()),
-            "side": pa.array([side] * len(out_bucket), pa.int8()),
-            "blob": pa.array(out_blob, pa.large_binary()),
-        }, schema=_EXCHANGE_SCHEMA)
+                null_rows.append(
+                    blob_row(batch.filter(pc.invert(valid)), null_bucket))
+            batch = batch.filter(valid)
+        rows = pa.concat_tables([pack_by(batch, bucket_of(batch))] + null_rows)
+        return rows.append_column(
+            "side", pa.array(np.full(rows.num_rows, side, np.int8)))
 
     return fn
 
@@ -158,9 +112,6 @@ def hash_join(
     right_on: str,
     how: str = "inner",
     n_buckets: int | None = None,
-    strict_empty_schema: bool = False,
-    salt: int = 1,
-    hot_keys=None,
     right_schema: pa.Schema | None = None,
     left_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
@@ -192,32 +143,18 @@ def hash_join(
     sides, routed to reserved one-sided buckets (-1 left / -2 right) so
     they emit null-filled without ever meeting the other side.
 
-    Skew: pass ``hot_keys=[...]`` + ``salt=k`` to split each hot key's
-    left rows round-robin across k salted buckets while replicating the
-    hot right rows into all k — the standard salted-join fix for a key
-    whose left fan-in would otherwise overload one bucket. (The
-    unsalted default is correct for typical key distributions;
-    pre-aggregation before the join remains the first resort, see
-    q_join_shuffle.)
-
-    ``strict_empty_schema=True`` guarantees the joined column layout even
-    when NO bucket holds rows from both sides, at the cost of one eager
-    ``Dataset.schema()`` per input (which executes part of each input
-    plan). The default first tries each input's schema WITHOUT execution
+    The joined column layout of a bucket that holds rows from only one
+    side comes from each input's schema WITHOUT execution
     (``schema(fetch_if_missing=False)`` — free for metadata-bearing
-    inputs like fresh parquet reads) and only falls back to deriving
-    layouts lazily from the exchanged blobs, where a fully disjoint
-    inner join yields a zero-column empty Dataset (documented contract:
-    Ray map UDFs skip the zero-column marker blocks)."""
+    inputs like fresh parquet reads) or from ``left_schema`` /
+    ``right_schema``; when neither is known the layouts are derived
+    lazily from the exchanged blobs, and a fully disjoint inner join
+    yields a zero-column empty Dataset (documented contract: Ray map
+    UDFs skip the zero-column marker blocks). A caller that needs the
+    joined layout on a fully disjoint join passes both schemas."""
     if how not in ("inner", "left", "full", "semi", "anti"):
         raise ValueError(
             f"unsupported how={how!r} (inner/left/full/semi/anti)")
-    if salt < 1:
-        raise ValueError(f"salt must be >= 1, got {salt}")
-    if how == "full" and salt > 1:
-        # replicated hot right rows would emit spurious right-only
-        # null-filled rows in variants where they don't match
-        raise ValueError("hot-key salting is not defined for FULL joins")
     if n_buckets is None:
         n_buckets = auto_buckets(left, right)
 
@@ -259,12 +196,11 @@ def hash_join(
     if left_schema is not None:
         ls = left_schema
     else:
-        ls = (left.schema() if (how == "full" or strict_empty_schema)
-              else _free_schema(left))
+        ls = left.schema() if how == "full" else _free_schema(left)
     if right_schema is not None:
         rs = right_schema
     else:
-        rs = (right.schema() if (how in ("left", "full") or strict_empty_schema)
+        rs = (right.schema() if how in ("left", "full")
               else _free_schema(right))
     # synthesizing an empty JOINED frame needs both layouts (right is
     # always known for left/full joins — eager by necessity, to null-fill;
@@ -288,7 +224,6 @@ def hash_join(
     lrows = left.map_batches(
         _to_exchange_rows(0, left_on, n_buckets,
                           drop_null_keys=(how in ("inner", "semi")),
-                          salt=salt, hot_keys=hot_keys,
                           null_bucket=(-1 if how in ("full", "anti")
                                        else None)),
         batch_format="pyarrow",
@@ -296,14 +231,13 @@ def hash_join(
     rrows = right.map_batches(
         _to_exchange_rows(1, right_on, n_buckets,
                           drop_null_keys=(how != "full"),
-                          salt=salt, hot_keys=hot_keys,
                           null_bucket=(-2 if how == "full" else None)),
         batch_format="pyarrow",
     )
 
     def merge_bucket(group: pd.DataFrame):
-        lt = [_deserialize(b) for b in group[group["side"] == 0]["blob"]]
-        rt = [_deserialize(b) for b in group[group["side"] == 1]["blob"]]
+        lt = unpack(group[group["side"] == 0])
+        rt = unpack(group[group["side"] == 1])
         if how in ("semi", "anti"):
             if not lt:
                 if empty_left is None:
@@ -371,13 +305,11 @@ def broadcast_join(
     right_df: pd.DataFrame,
     left_on: str,
     right_on: str,
-    how: str = "inner",
 ) -> ray.data.Dataset:
-    """Map-side join against a small in-memory right side: the right table
-    is ray.put ONCE and fetched once per actor; each left batch merges
-    against it with no shuffle at all. The standard dimension-join shape."""
-    if how not in ("inner", "left"):
-        raise ValueError(f"unsupported how={how!r} (inner/left)")
+    """Map-side inner join against a small in-memory right side: the
+    right table is ray.put ONCE and fetched once per actor; each left
+    batch merges against it with no shuffle at all. The standard
+    dimension-join shape."""
     import ray as _ray
 
     right_ref = _ray.put(right_df.reset_index(drop=True))
@@ -385,21 +317,10 @@ def broadcast_join(
     class MergeRight:
         def __init__(self):
             self.right = _ray.get(right_ref)
-            if how == "left":
-                # null-fill protection (CLAUDE.md): merge would promote
-                # unmatched int64 right columns to float64, rounding
-                # values above 2^53 — pre-cast to nullable Int64 once
-                # per actor
-                self.right = self.right.astype({
-                    c: ("UInt64" if self.right[c].dtype.kind == "u"
-                        else "Int64")
-                    for c in self.right.columns
-                    if self.right[c].dtype.kind in "iu"
-                })
 
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
             return batch.merge(
-                self.right, left_on=left_on, right_on=right_on, how=how
+                self.right, left_on=left_on, right_on=right_on, how="inner"
             )
 
     return left.map_batches(
@@ -423,17 +344,6 @@ class KeyFilter:
             # EXISTS: null left keys never match
             return b[hit & vals.notna().to_numpy()]
         return b[~hit]  # NOT EXISTS: null left keys kept
-
-
-def _broadcast_key_filter(left: ray.data.Dataset, keys, left_on: str,
-                          how: str) -> ray.data.Dataset:
-    """Map-side semi/anti join: the sorted key set ships once via
-    ray.put (EXISTS semantics, matching hash_join's semi/anti contract)."""
-    keys_ref = ray.put(np.sort(keys))
-    return left.map_batches(KeyFilter,
-                            fn_constructor_args=(keys_ref, left_on,
-                                                 how == "semi"),
-                            batch_format="pandas", concurrency=(1, 4))
 
 
 def gated_keyset_filter(
@@ -465,7 +375,11 @@ def gated_keyset_filter(
     if hint_bytes is None or hint_bytes > broadcast_threshold_bytes:
         return hash_join(left, keys_ds, left_on, key_col, how)
     keys = pd.unique(keys_ds.to_pandas()[key_col].dropna())
-    return _broadcast_key_filter(left, keys, left_on, how)
+    keys_ref = ray.put(np.sort(keys))
+    return left.map_batches(KeyFilter,
+                            fn_constructor_args=(keys_ref, left_on,
+                                                 how == "semi"),
+                            batch_format="pandas", concurrency=(1, 4))
 
 
 def join(
@@ -473,13 +387,11 @@ def join(
     right: ray.data.Dataset,
     left_on: str,
     right_on: str,
-    how: str = "inner",
     broadcast_threshold_bytes: int = 64 << 20,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
-    """Size-aware join planner: broadcast the right side when its size is
-    KNOWN (from input metadata, without executing the plan) and under the
-    threshold; otherwise run the bucketed shuffle hash join.
+    """Size-aware inner join planner: broadcast the right side when its
+    size is KNOWN (from input metadata, without executing the plan) and
+    under the threshold; otherwise run the bucketed shuffle hash join.
 
     The 64 MB default is the classic dimension-table budget: the
     broadcast copy must fit each worker's heap times the actor count.
@@ -491,20 +403,6 @@ def join(
         right_bytes = right.size_bytes()
     except Exception:
         right_bytes = None
-    if (how in ("inner", "left") and right_bytes is not None
-            and right_bytes <= broadcast_threshold_bytes):
-        return broadcast_join(left, right.to_pandas(), left_on, right_on, how)
-    if (how in ("semi", "anti") and right_bytes is not None
-            and right_bytes <= broadcast_threshold_bytes):
-        # map-side key-membership filter: the right KEY SET ships once
-        # (EXISTS semantics, matching hash_join's semi/anti contract)
-        keys = (right.map_batches(
-            lambda t, col=right_on: pa.table(
-                {col: pc.unique(pc.drop_null(t.column(col)))}),
-            batch_format="pyarrow",
-        ).to_pandas()[right_on].unique())
-        return _broadcast_key_filter(left, keys, left_on, how)
-    # FULL joins always shuffle: a map-side broadcast can't emit the
-    # right-only rows (no worker knows which right rows matched nowhere)
-    return hash_join(left, right, left_on, right_on, how, n_buckets)
-
+    if right_bytes is not None and right_bytes <= broadcast_threshold_bytes:
+        return broadcast_join(left, right.to_pandas(), left_on, right_on)
+    return hash_join(left, right, left_on, right_on)

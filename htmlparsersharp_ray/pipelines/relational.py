@@ -678,7 +678,7 @@ def q_topk_per_group(sf_dir: str):
         ]
 
     parts = (
-        join(orders, cust, "o_custkey", "c_custkey", "inner")
+        join(orders, cust, "o_custkey", "c_custkey")
         .map_batches(partial_topk, batch_format="pandas")
         .to_pandas()
     )
@@ -1057,7 +1057,7 @@ def q_segment_status_pivot(sf_dir: str):
         ).agg(n=("o_orderstatus", "count"))
 
     parts = (
-        join(orders, cust, "o_custkey", "c_custkey", "inner")
+        join(orders, cust, "o_custkey", "c_custkey")
         .map_batches(count_grid, batch_format="pandas")
         .to_pandas()
     )
@@ -6971,7 +6971,7 @@ def q_part_multi_nation(sf_dir: str):
         })
 
     out = bucket_group_map(
-        join(li_ds, supp_ds, "l_suppkey", "s_suppkey", "inner")
+        join(li_ds, supp_ds, "l_suppkey", "s_suppkey")
         .map_batches(pairs, batch_format="pandas"),
         key_buckets("l_partkey", nb), having,
     ).to_pandas()
@@ -7248,7 +7248,7 @@ def q_region_nation_share(sf_dir: str):
             }).groupby(["r", "n"], as_index=False)["rev_c"].sum()
 
     parts = (
-        join(orders, cust, "o_custkey", "c_custkey", "inner")
+        join(orders, cust, "o_custkey", "c_custkey")
         .map_batches(Partial, batch_format="pandas", concurrency=(1, 4))
         .to_pandas()
     )
@@ -8683,7 +8683,7 @@ def q_part_brand_itemsets(sf_dir: str, min_support: int = 60):
                              "cnt": census[nz]})
 
     parts = bucket_group_map(
-        join(li, part_ds, "l_partkey", "p_partkey", "inner")
+        join(li, part_ds, "l_partkey", "p_partkey")
         .map_batches(to_order_brand, batch_format="pandas"),
         key_buckets("o", n_buckets), count_triples,
     ).to_pandas()

@@ -12,20 +12,19 @@ the rows it would have seen (zero-parse IPC deserialize + concat).
 
 :func:`bucket_group_map` is the single-input form and
 ``pipelines/joins.py::hash_join`` the two-sided one; both bucket a key
-with :func:`key_hash64`, so :func:`key_buckets` puts a key in the same
-bucket ``hash_join`` does.
+with :func:`key_buckets`, so a key lands in the same bucket under
+either.
 
 A blob row is an int64 ``bucket`` plus one IPC ``blob``
 (:data:`BLOB_SCHEMA`). Only this module builds and reads them:
 :func:`pack_by` (one row per occupied bucket of a table),
 :func:`blob_row` (a whole table in one bucket) and :func:`unpack` (a
-bucket group's tables) serve :func:`bucket_group_map` and the graph
-operators in ``stages/graph.py`` (pagerank, label_propagation, sssp,
-bfs_hops, kcore, triangle_counts, edge_support), whose blob rows carry
-edges and per-node state from one superstep to the next.
-``hash_join``'s rows add a ``side`` column and salting and are built
-in ``joins.py`` from :func:`split_sorted`. Reference n/a — engine-level
-utility.
+bucket group's tables) serve :func:`bucket_group_map`, ``hash_join``
+(whose rows add an int8 ``side`` column) and the graph operators in
+``stages/graph.py`` (pagerank, label_propagation, sssp, bfs_hops,
+kcore, triangle_counts, edge_support), whose blob rows carry edges and
+per-node state from one superstep to the next. Reference n/a —
+engine-level utility.
 """
 
 from __future__ import annotations
@@ -53,17 +52,6 @@ def deserialize_table(blob: bytes) -> pa.Table:
     return pa.ipc.open_stream(pa.BufferReader(blob)).read_all()
 
 
-def split_sorted(table: pa.Table, sorted_buckets: np.ndarray):
-    """(bucket ids, IPC blobs) for a table whose rows are already
-    sorted by ``sorted_buckets`` — the shared tail of every blob-pack
-    path (:func:`pack_by` and joins.py::_to_exchange_rows)."""
-    uniq, starts = np.unique(sorted_buckets, return_index=True)
-    ends = np.append(starts[1:], len(sorted_buckets))
-    blobs = [serialize_table(table.slice(lo, hi - lo))
-             for lo, hi in zip(starts, ends)]
-    return uniq, blobs
-
-
 BLOB_SCHEMA = pa.schema([("bucket", pa.int64()), ("blob", pa.large_binary())])
 
 EMPTY_BLOBS = BLOB_SCHEMA.empty_table()
@@ -75,7 +63,11 @@ def pack_by(table: pa.Table, buckets: np.ndarray) -> pa.Table:
     if table.num_rows == 0:
         return EMPTY_BLOBS
     order = np.argsort(buckets, kind="stable")
-    uniq, blobs = split_sorted(table.take(pa.array(order)), buckets[order])
+    table, buckets = table.take(pa.array(order)), buckets[order]
+    uniq, starts = np.unique(buckets, return_index=True)
+    ends = np.append(starts[1:], len(buckets))
+    blobs = [serialize_table(table.slice(lo, hi - lo))
+             for lo, hi in zip(starts, ends)]
     return pa.table({
         "bucket": pa.array(uniq.astype(np.int64)),
         "blob": pa.array(blobs, pa.large_binary()),

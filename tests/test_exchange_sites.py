@@ -9,8 +9,8 @@ keys, one group per value.
 
 The blob-row format (an int64 ``bucket`` plus an Arrow-IPC ``blob``) is
 known only to ``stages/exchange.py``, whose ``pack_by``, ``blob_row``
-and ``unpack`` every other module uses, and to ``pipelines/joins.py``,
-whose two-sided rows add a ``side`` column and salting.
+and ``unpack`` every other module uses, ``pipelines/joins.py`` too:
+its two-sided rows only add a ``side`` column.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def test_no_bucket_tagger_helper():
     assert "_add_user_bucket" not in names
 
 
-BLOB_OWNERS = {"stages/exchange.py", "pipelines/joins.py"}
-IPC_NAMES = {"serialize_table", "deserialize_table", "split_sorted"}
+BLOB_OWNERS = {"stages/exchange.py"}
+IPC_NAMES = {"serialize_table", "deserialize_table"}
 BLOB_COLUMN = "large_binary blob column"
 
 
@@ -117,9 +117,8 @@ def test_blob_rows_only_in_exchange_and_joins():
         "blob rows are built and read through stages/exchange.py "
         "(pack_by, blob_row, unpack, bucket_group_map):\n"
         + "\n".join(bad))
-    # the scan must reach every kind of site it allows in joins.py and
-    # the owner's own blob column, or a change in call shape would let
-    # it pass without looking at anything
-    assert {what for _, what in sites["pipelines/joins.py"]} == (
+    # the scan must reach every kind of site in the owner, or a change
+    # in call shape would let it pass without looking at anything
+    assert not sites["pipelines/joins.py"]
+    assert {what for _, what in sites["stages/exchange.py"]} == (
         IPC_NAMES | {BLOB_COLUMN})
-    assert BLOB_COLUMN in {what for _, what in sites["stages/exchange.py"]}

@@ -77,14 +77,16 @@ def test_hash_join_no_matches_yields_empty_with_schema(ray_session):
                          "lv": np.arange(10, dtype=np.int64)})
     right = pd.DataFrame({"k": np.arange(100, 110, dtype=np.int64),
                           "rv": np.arange(10, dtype=np.int64)})
-    out = hash_join(_mk_ds(left, 2), _mk_ds(right, 2), "k", "k",
-                    strict_empty_schema=True)
+    out = hash_join(
+        _mk_ds(left, 2), _mk_ds(right, 2), "k", "k",
+        left_schema=pa.Schema.from_pandas(left, preserve_index=False),
+        right_schema=pa.Schema.from_pandas(right, preserve_index=False))
     # Dataset-level schema keeps the joined layout even when every block
     # is empty (Ray's to_pandas drops columns for all-empty datasets).
     assert set(out.schema().names) == {"k", "lv", "rv"}
     assert out.count() == 0
-    # default lazy mode still joins correctly; only the fully-disjoint
-    # empty-schema guarantee needs the strict flag
+    # without the schemas it still joins correctly; only the
+    # fully-disjoint empty-schema guarantee needs them
     lazy = hash_join(_mk_ds(left, 2), _mk_ds(right, 2), "k", "k")
     assert lazy.count() == 0
 
@@ -165,35 +167,6 @@ def test_hash_join_left(join_inputs, ray_session):
     assert got["rv"].isna().equals(exp["rv"].isna())
     matched = exp["rv"].notna()
     assert (got.loc[matched, "rv"] == exp.loc[matched, "rv"]).all()
-
-
-def test_hash_join_salted_hot_key(ray_session):
-    """A key with massive left fan-in joined with salt: results identical
-    to the unsalted join (hot left rows split across salted buckets,
-    hot right rows replicated into each)."""
-    import ray.data
-    from htmlparsersharp_ray.pipelines.joins import hash_join
-
-    n_hot = 5000
-    left = pd.DataFrame({
-        "k": [7] * n_hot + list(range(100)),
-        "lv": list(range(n_hot + 100)),
-    })
-    right = pd.DataFrame({"k": list(range(100)) + [7], "rv": list(range(101))})
-    lds = ray.data.from_pandas(left)
-    rds = ray.data.from_pandas(right)
-    plain = hash_join(lds, rds, "k", "k", n_buckets=8).to_pandas()
-    salted = hash_join(
-        ray.data.from_pandas(left), ray.data.from_pandas(right),
-        "k", "k", n_buckets=8, salt=4, hot_keys=[7],
-    ).to_pandas()
-    key = ["k", "lv", "rv"]
-    a = plain[key].sort_values(key).reset_index(drop=True)
-    b = salted[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    # the hot key matched twice per left row? no - right has k=7 once, plus
-    # k=7 in range(100) -> two right rows for k=7
-    assert (a["k"] == 7).sum() == n_hot * 2 + 2
 
 
 def test_hash_join_null_keys_sql_semantics(ray_session):
@@ -349,38 +322,6 @@ def test_hash_join_full_disjoint_and_one_sided(ray_session):
         how="full", n_buckets=4,
     ).to_pandas()
     assert len(out2) == 3 and out2["lv"].isna().all()
-
-
-def test_hash_join_full_rejects_salt(ray_session):
-    import ray.data
-    from htmlparsersharp_ray.pipelines.joins import hash_join
-
-    df = pd.DataFrame({"k": [1], "v": [1]})
-    with pytest.raises(ValueError):
-        hash_join(ray.data.from_pandas(df), ray.data.from_pandas(df),
-                  "k", "k", how="full", salt=2, hot_keys=[1])
-
-
-def test_join_planner_full_takes_shuffle_path(ray_session, tmp_path):
-    """FULL joins never broadcast (a map-side merge can't emit the
-    right-only rows) — the planner routes to the shuffle join even for
-    a tiny metadata-known right side, and the result is correct."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data
-    from htmlparsersharp_ray.pipelines.joins import join
-
-    lp = str(tmp_path / "l.parquet")
-    rp = str(tmp_path / "r.parquet")
-    pq.write_table(pa.table({"k": pa.array([1, 2], pa.int64()),
-                             "lv": pa.array([10, 20], pa.int64())}), lp)
-    pq.write_table(pa.table({"k": pa.array([2, 3], pa.int64()),
-                             "rv": pa.array([200, 300], pa.int64())}), rp)
-    out = join(ray.data.read_parquet(lp), ray.data.read_parquet(rp),
-               "k", "k", how="full").to_pandas()
-    assert len(out) == 3
-    assert out["lv"].notna().sum() == 2 and out["rv"].notna().sum() == 2
 
 
 def test_bucket_group_map_matches_plain_map_groups(ray_session):
@@ -549,9 +490,9 @@ def test_hash_join_anti_disjoint_keeps_all(ray_session, tmp_path):
 
 
 def test_join_planner_broadcast_semi_anti(ray_session, tmp_path):
-    """join() routes small metadata-known right sides of semi/anti
-    through the broadcast key-set path — same EXISTS semantics as the
-    shuffle path (null left keys: dropped by semi, kept by anti)."""
+    """gated_keyset_filter routes small metadata-known key sets of
+    semi/anti through the broadcast key-set path — same EXISTS semantics
+    as the shuffle path (null left keys: dropped by semi, kept by anti)."""
     import pyarrow.parquet as pq
 
     import ray.data
@@ -566,18 +507,20 @@ def test_join_planner_broadcast_semi_anti(ray_session, tmp_path):
     l_ds = ray.data.read_parquet(str(tmp_path / "l.parquet"))
     r_ds = ray.data.read_parquet(str(tmp_path / "r.parquet"))
 
-    semi = joins.join(l_ds, r_ds, "k", "k", how="semi").to_pandas()
+    semi = joins.gated_keyset_filter(l_ds, r_ds, "k", "k",
+                                     how="semi").to_pandas()
     assert sorted(semi["lv"].tolist()) == [1]
-    anti = joins.join(ray.data.read_parquet(str(tmp_path / "l.parquet")),
-                      ray.data.read_parquet(str(tmp_path / "r.parquet")),
-                      "k", "k", how="anti").to_pandas()
+    anti = joins.gated_keyset_filter(
+        ray.data.read_parquet(str(tmp_path / "l.parquet")),
+        ray.data.read_parquet(str(tmp_path / "r.parquet")),
+        "k", "k", how="anti").to_pandas()
     assert sorted(anti["lv"].tolist()) == [0, 2, 3]
 
     # over-threshold: falls back to the shuffle semi (same result)
-    semi2 = joins.join(ray.data.read_parquet(str(tmp_path / "l.parquet")),
-                       ray.data.read_parquet(str(tmp_path / "r.parquet")),
-                       "k", "k", how="semi",
-                       broadcast_threshold_bytes=0).to_pandas()
+    semi2 = joins.gated_keyset_filter(
+        ray.data.read_parquet(str(tmp_path / "l.parquet")),
+        ray.data.read_parquet(str(tmp_path / "r.parquet")),
+        "k", "k", how="semi", broadcast_threshold_bytes=0).to_pandas()
     assert sorted(semi2["lv"].tolist()) == [1]
 
 

@@ -117,6 +117,53 @@ def test_resume_skips_completed_buckets(ray_session, transcripts_dir, tmp_path):
     assert table.num_rows == 1200
 
 
+def test_resume_after_crash_mid_finalize(ray_session, transcripts_dir, tmp_path):
+    """Resume from what a crash mid-finalize leaves on disk: a bucket
+    whose final file was renamed into place but whose lineage record was
+    never written, a bucket with only a torn ``part.parquet.tmp``, and a
+    dead run's shuffle file. Exactly the two buckets without a record
+    are rewritten, the dead shuffle rows never reach finalize, and every
+    bucket's (rows, text_md5) equals the clean run's."""
+    import pyarrow as pa
+
+    from htmlparsersharp_ray.pipelines.extract_pipeline import PartialWriter
+
+    out = str(tmp_path / "out")
+    _run(transcripts_dir, out, n_buckets=8, concurrency=2, batch_size=64,
+         resume=False)
+    clean = _lineage_manifest(out)
+    assert len(clean) == 8
+
+    def final(b):
+        return os.path.join(out, f"bucket={b:04d}", "part.parquet")
+
+    renamed, torn = 2, 6
+    # crash after the rename, before the lineage write
+    os.remove(os.path.join(out, "_lineage", f"bucket-{renamed:04d}.json"))
+    # crash while writing the tmp file, before the rename
+    with open(final(torn), "rb") as f:
+        data = f.read()
+    os.remove(final(torn))
+    os.remove(os.path.join(out, "_lineage", f"bucket-{torn:04d}.json"))
+    with open(final(torn) + ".tmp", "wb") as f:
+        f.write(data[: len(data) // 2])
+    # a dead run's shuffle file: its rows would double bucket `renamed`
+    # if they leaked into this run's finalize
+    t = pq.read_table(final(renamed))
+    PartialWriter(out, "dead")(t.append_column(
+        "bucket", pa.array([renamed] * t.num_rows, pa.int32())))
+    kept = {b: os.stat(final(b)).st_mtime_ns
+            for b in clean if b not in (renamed, torn)}
+
+    m2 = _run(transcripts_dir, out, n_buckets=8, concurrency=2, batch_size=64)
+    assert sorted(m2["bucket"]) == [renamed, torn]
+    assert _lineage_manifest(out) == clean
+    assert {b: os.stat(final(b)).st_mtime_ns for b in kept} == kept
+    assert not os.path.exists(final(torn) + ".tmp")
+    assert not os.path.exists(os.path.join(out, "_partial"))
+    assert _read_all(out).num_rows == 1200
+
+
 def test_giant_conversation_salting(ray_session, tmp_path):
     """A conversation larger than salt_cap must split across buckets with
     each range internally ordered."""
