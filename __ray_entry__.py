@@ -2692,8 +2692,10 @@ def _textrank_oracle_sql() -> str:
 
 def oracle_sql() -> dict[str, str]:
     from htmlparsersharp_ray.pipelines.relational import (
+        EMB_GRID,
         PART_KCORE_K,
         PART_KTRUSS_K,
+        STAT_SCALE,
     )
     from htmlparsersharp_ray.stages.text_analysis import REDACT_PATTERNS
 
@@ -5352,7 +5354,7 @@ def oracle_sql() -> dict[str, str]:
             WHERE 5 * (cum_c - rev_c) < 4 * tot
             ORDER BY rnk
         """,
-        "events_chisq": """
+        "events_chisq": f"""
             -- chi-square independence (event_type x day-of-week) as a
             -- FIXED-POINT sum: per-cell term floored at 2^20 before
             -- summation so the statistic is order-independent; dow is
@@ -5390,7 +5392,7 @@ def oracle_sql() -> dict[str, str]:
                    (SELECT CAST((COUNT(DISTINCT event_type) - 1)
                                 * (COUNT(DISTINCT dow) - 1) AS BIGINT)
                     FROM o) AS df,
-                   CAST(SUM(CAST(FLOOR(numd / dend * 1048576.0)
+                   CAST(SUM(CAST(FLOOR(numd / dend * {STAT_SCALE}.0)
                                  AS BIGINT)) AS BIGINT) AS chisq_scaled
             FROM f
         """,
@@ -5780,7 +5782,7 @@ def oracle_sql() -> dict[str, str]:
                   FROM documents)
             ORDER BY doc_id
         """,
-        "embeddings_label_centroids": """
+        "embeddings_label_centroids": f"""
             -- per-label embedding centroid via FIXED-POINT components:
             -- each float32 scales by 2^20 (exact power-of-two multiply
             -- in double) and CAST rounds half-to-even == np.rint, so
@@ -5789,7 +5791,7 @@ def oracle_sql() -> dict[str, str]:
             WITH u AS (
                 -- parallel unnests of equal-length lists zip in DuckDB
                 SELECT label,
-                       CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                       CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                             AS BIGINT) AS v,
                        unnest(generate_series(1, len(embedding)))
                            AS dim1
@@ -5798,11 +5800,11 @@ def oracle_sql() -> dict[str, str]:
             SELECT CAST(label AS BIGINT) AS label,
                    dim1 - 1 AS dim, count(*)::BIGINT AS n,
                    sum(v)::BIGINT AS sum_scaled,
-                   CAST(sum(v) AS DOUBLE) / (count(*) * 1048576.0)
+                   CAST(sum(v) AS DOUBLE) / (count(*) * {EMB_GRID}.0)
                        AS centroid
             FROM u GROUP BY label, dim1 ORDER BY label, dim
         """,
-        "embeddings_nearest_centroid": """
+        "embeddings_nearest_centroid": f"""
             -- nearest-centroid classification, INTEGER-exact end to
             -- end: 2^20 fixed-point quantization (CAST AS BIGINT ==
             -- np.rint half-to-even), centroids from even vec_ids
@@ -5812,7 +5814,7 @@ def oracle_sql() -> dict[str, str]:
             -- label-ascending rows)
             WITH u AS (
                 SELECT vec_id, label,
-                       CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                       CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                             AS BIGINT) AS q,
                        unnest(generate_series(1, len(embedding))) AS dim
                 FROM embeddings
@@ -8115,7 +8117,7 @@ def oracle_sql() -> dict[str, str]:
         FROM orders
         ORDER BY kind, key
     """
-    sql["events_anova"] = """
+    sql["events_anova"] = f"""
         -- one-way ANOVA across event types, INTEGER-exact: per-type
         -- moments in cents, F defined THROUGH fixed-point floors
         -- (A = sum (s^2*2^20)//n per group, B grand, ssb = max(A-B,0),
@@ -8133,10 +8135,10 @@ def oracle_sql() -> dict[str, str]:
         tot AS (SELECT SUM(n) AS n, SUM(s) AS s, SUM(q) AS q,
                        COUNT(*) AS k
                 FROM agg),
-        aa AS (SELECT SUM((s * s * 1048576) // n) AS a FROM agg),
-        f AS (SELECT GREATEST(aa.a - (t.s * t.s * 1048576) // t.n,
+        aa AS (SELECT SUM((s * s * {STAT_SCALE}) // n) AS a FROM agg),
+        f AS (SELECT GREATEST(aa.a - (t.s * t.s * {STAT_SCALE}) // t.n,
                               0) AS ssb_k,
-                     t.q * 1048576 - aa.a AS ssw_k,
+                     t.q * {STAT_SCALE} - aa.a AS ssw_k,
                      t.n AS n, t.k AS k
               FROM aa, tot t)
         SELECT agg.event_type,
@@ -8147,12 +8149,12 @@ def oracle_sql() -> dict[str, str]:
                CAST(f.n - f.k AS BIGINT) AS df2,
                CAST(CASE WHEN f.k < 2 OR f.n <= f.k OR f.ssw_k <= 0
                          THEN -1
-                         ELSE (f.ssb_k * (f.n - f.k) * 1048576)
+                         ELSE (f.ssb_k * (f.n - f.k) * {STAT_SCALE})
                               // (f.ssw_k * (f.k - 1))
                     END AS BIGINT) AS f_scaled
         FROM agg, f ORDER BY agg.event_type
     """
-    sql["events_levene"] = """
+    sql["events_levene"] = f"""
         -- Brown-Forsythe (median-centered Levene) spread test:
         -- per-type EXACT doubled median (2*median(BIGINT) is exact:
         -- the /2 is a power-of-two halving), z = |2v - med2| in
@@ -8177,10 +8179,10 @@ def oracle_sql() -> dict[str, str]:
         tot AS (SELECT SUM(n) AS n, SUM(s) AS s, SUM(q) AS q,
                        COUNT(*) AS k
                 FROM agg),
-        aa AS (SELECT SUM((s * s * 1048576) // n) AS a FROM agg),
-        f AS (SELECT GREATEST(aa.a - (t.s * t.s * 1048576) // t.n,
+        aa AS (SELECT SUM((s * s * {STAT_SCALE}) // n) AS a FROM agg),
+        f AS (SELECT GREATEST(aa.a - (t.s * t.s * {STAT_SCALE}) // t.n,
                               0) AS ssb_k,
-                     t.q * 1048576 - aa.a AS ssw_k,
+                     t.q * {STAT_SCALE} - aa.a AS ssw_k,
                      t.n AS n, t.k AS k
               FROM aa, tot t)
         SELECT agg.event_type,
@@ -8192,7 +8194,7 @@ def oracle_sql() -> dict[str, str]:
                CAST(f.n - f.k AS BIGINT) AS df2,
                CAST(CASE WHEN f.k < 2 OR f.n <= f.k OR f.ssw_k <= 0
                          THEN -1
-                         ELSE (f.ssb_k * (f.n - f.k) * 1048576)
+                         ELSE (f.ssb_k * (f.n - f.k) * {STAT_SCALE})
                               // (f.ssw_k * (f.k - 1))
                     END AS BIGINT) AS w_scaled
         FROM agg, f ORDER BY agg.event_type
@@ -8234,7 +8236,7 @@ def oracle_sql() -> dict[str, str]:
         LEFT JOIN t USING (event_type)
         ORDER BY nd.event_type
     """
-    sql["part_cramers_v"] = """
+    sql["part_cramers_v"] = f"""
         -- Cramer's V between p_brand and p_type: chi-square terms
         -- floored at 2^20 (order-independent, hugeint->double via the
         -- mirrored 2^62 split), then ONE mirrored sqrt expression
@@ -8266,7 +8268,7 @@ def oracle_sql() -> dict[str, str]:
                        AS dend
             FROM cell),
         chi AS (
-            SELECT CAST(SUM(CAST(FLOOR(numd / dend * 1048576.0)
+            SELECT CAST(SUM(CAST(FLOOR(numd / dend * {STAT_SCALE}.0)
                                  AS BIGINT)) AS BIGINT) AS chisq_scaled
             FROM f),
         dims AS (
@@ -8274,22 +8276,22 @@ def oracle_sql() -> dict[str, str]:
                    (SELECT CAST(COUNT(*) AS BIGINT) FROM r) AS n_brands,
                    (SELECT CAST(COUNT(*) AS BIGINT) FROM c) AS n_types)
         SELECT d.n_rows, d.n_brands, d.n_types, chi.chisq_scaled,
-               CAST(FLOOR(SQRT((chi.chisq_scaled / 1048576.0)
+               CAST(FLOOR(SQRT((chi.chisq_scaled / {STAT_SCALE}.0)
                                / CAST(d.n_rows
                                       * LEAST(d.n_brands - 1,
                                               d.n_types - 1)
                                       AS DOUBLE))
-                          * 1048576.0) AS BIGINT) AS v_scaled
+                          * {STAT_SCALE}.0) AS BIGINT) AS v_scaled
         FROM dims d, chi
     """
-    sql["embeddings_confusion"] = """
+    sql["embeddings_confusion"] = f"""
         -- confusion matrix of the nearest-centroid classifier over the
         -- odd-vec_id holdout: the prediction CTEs are the
         -- embeddings_nearest_centroid oracle verbatim, then one
         -- integer-count groupby against the true labels
         WITH u AS (
             SELECT vec_id, label,
-                   CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                   CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                         AS BIGINT) AS q,
                    unnest(generate_series(1, len(embedding))) AS dim
             FROM embeddings
@@ -8423,7 +8425,7 @@ def oracle_sql() -> dict[str, str]:
                CAST(SUM(d) AS BIGINT) AS total_dist
         FROM md GROUP BY s ORDER BY s
     """
-    sql["embeddings_silhouette"] = """
+    sql["embeddings_silhouette"] = f"""
         -- simplified (centroid-based) silhouette per label: a/b are
         -- int64 squared distances on the 2^20 grid (the
         -- nearest-centroid quantization, centroids over ALL rows),
@@ -8432,7 +8434,7 @@ def oracle_sql() -> dict[str, str]:
         -- so SUM(s_scaled) is an order-independent integer
         WITH u AS (
             SELECT vec_id, label,
-                   CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                   CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                         AS BIGINT) AS q,
                    unnest(generate_series(1, len(embedding))) AS dim
             FROM embeddings
@@ -8628,14 +8630,14 @@ def oracle_sql() -> dict[str, str]:
                CAST(cum_ls AS BIGINT) AS cum_ls_scaled
         FROM km3 WHERE d_event > 0 ORDER BY t_day
     """
-    sql["embeddings_cv"] = """
+    sql["embeddings_cv"] = f"""
         -- 5-fold CV of the nearest-centroid classifier (folds =
         -- vec_id % 5): fold-f centroids train on the other folds via
         -- the same mirrored 2^20-grid construction; per-fold integer
         -- (n_test, n_correct)
         WITH u AS (
             SELECT vec_id, label, CAST(vec_id % 5 AS BIGINT) AS fold,
-                   CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                   CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                         AS BIGINT) AS q,
                    unnest(generate_series(1, len(embedding))) AS dim
             FROM embeddings
@@ -8666,7 +8668,7 @@ def oracle_sql() -> dict[str, str]:
         FROM embeddings e JOIN pred p USING (vec_id)
         GROUP BY 1 ORDER BY 1
     """
-    sql["embeddings_twonn"] = """
+    sql["embeddings_twonn"] = f"""
         -- TwoNN intrinsic-dimension statistic: d1/d2 are int64
         -- squared distances on the 2^20 grid (nearest-neighbor by
         -- value with the same multiset semantics as the engine's
@@ -8674,7 +8676,7 @@ def oracle_sql() -> dict[str, str]:
         -- duplicates (d1 = 0) counted separately
         WITH u AS (
             SELECT vec_id,
-                   CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                   CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                         AS BIGINT) AS q,
                    unnest(generate_series(1, len(embedding))) AS dim
             FROM embeddings
@@ -8789,14 +8791,14 @@ def oracle_sql() -> dict[str, str]:
                CAST(tot AS BIGINT) AS total_cents
         FROM st WHERE rn = 1
     """
-    sql["embeddings_knn_classifier"] = """
+    sql["embeddings_knn_classifier"] = f"""
         -- 5-NN majority-vote classifier (train = even vec_ids, test =
         -- odd): int64 squared distances on the 2^20 grid, neighbor
         -- ties to the smaller train id, vote ties to the smaller
         -- label — integer-exact end to end
         WITH u AS (
             SELECT vec_id, label,
-                   CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                   CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                         AS BIGINT) AS q,
                    unnest(generate_series(1, len(embedding))) AS dim
             FROM embeddings
@@ -8944,13 +8946,13 @@ def oracle_sql() -> dict[str, str]:
         SELECT p_partkey, term, definition
         FROM pairs ORDER BY p_partkey, term
     """
-    sql["embeddings_outliers"] = """
+    sql["embeddings_outliers"] = f"""
         -- k-NN distance outliers: top-20 vectors by 5th-nearest
         -- squared distance on the 2^20 grid (multiset k-th-smallest;
         -- ties to the smaller vec_id)
         WITH u AS (
             SELECT vec_id,
-                   CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                   CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                         AS BIGINT) AS q,
                    unnest(generate_series(1, len(embedding))) AS dim
             FROM embeddings
@@ -8989,14 +8991,14 @@ def oracle_sql() -> dict[str, str]:
                'acct ' || CAST(s_nationkey AS VARCHAR) AS cell
         FROM supplier ORDER BY s_suppkey
     """
-    sql["embeddings_calibration"] = """
+    sql["embeddings_calibration"] = f"""
         -- calibration table of the nearest-centroid classifier:
         -- margin = 2nd-best minus best squared centroid distance
         -- (the nearest-centroid oracle's rn=1/rn=2), bucketed by bit
         -- length (LENGTH(bin(m)) == Python int.bit_length for m > 0)
         WITH u AS (
             SELECT vec_id, label,
-                   CAST(CAST(unnest(embedding) AS DOUBLE) * 1048576
+                   CAST(CAST(unnest(embedding) AS DOUBLE) * {EMB_GRID}
                         AS BIGINT) AS q,
                    unnest(generate_series(1, len(embedding))) AS dim
             FROM embeddings
@@ -9134,7 +9136,7 @@ def oracle_sql() -> dict[str, str]:
         FROM p GROUP BY lang, lang_pred
         ORDER BY lang, lang_pred
     """
-    sql["events_srm"] = """
+    sql["events_srm"] = f"""
         -- sample-ratio-mismatch guardrail: distinct users per
         -- user_id-parity cohort and the 50:50 chi-square as the pure
         -- integer (n_a - n_b)^2 * 2^20 // n
@@ -9149,7 +9151,7 @@ def oracle_sql() -> dict[str, str]:
             FROM u)
         SELECT n_a, n_b,
                CAST(CASE WHEN n_a + n_b = 0 THEN -1
-                         ELSE ((n_a - n_b) * (n_a - n_b) * 1048576)
+                         ELSE ((n_a - n_b) * (n_a - n_b) * {STAT_SCALE})
                               // (n_a + n_b) END AS BIGINT)
                    AS srm_scaled
         FROM c
@@ -9195,7 +9197,7 @@ def oracle_sql() -> dict[str, str]:
                CAST(COALESCE(SUM(r * r), 0) AS BIGINT) AS sumsq_r
         FROM p
     """
-    sql["events_weekday_anova"] = """
+    sql["events_weekday_anova"] = f"""
         -- weekday-effect ANOVA over daily totals: the events_anova
         -- floored-F construction with day-of-week groups (dow =
         -- (epoch_days + 4) % 7, the events_chisq convention)
@@ -9215,10 +9217,10 @@ def oracle_sql() -> dict[str, str]:
         tot AS (SELECT SUM(n) AS n, SUM(s) AS s, SUM(q) AS q,
                        COUNT(*) AS k
                 FROM g),
-        aa AS (SELECT SUM((s * s * 1048576) // n) AS a FROM g),
-        f AS (SELECT GREATEST(aa.a - (t.s * t.s * 1048576) // t.n,
+        aa AS (SELECT SUM((s * s * {STAT_SCALE}) // n) AS a FROM g),
+        f AS (SELECT GREATEST(aa.a - (t.s * t.s * {STAT_SCALE}) // t.n,
                               0) AS ssb_k,
-                     t.q * 1048576 - aa.a AS ssw_k,
+                     t.q * {STAT_SCALE} - aa.a AS ssw_k,
                      t.n AS n, t.k AS k
               FROM aa, tot t)
         SELECT g.dow,
@@ -9228,7 +9230,7 @@ def oracle_sql() -> dict[str, str]:
                CAST(f.n - f.k AS BIGINT) AS df2,
                CAST(CASE WHEN f.k < 2 OR f.n <= f.k OR f.ssw_k <= 0
                          THEN -1
-                         ELSE (f.ssb_k * (f.n - f.k) * 1048576)
+                         ELSE (f.ssb_k * (f.n - f.k) * {STAT_SCALE})
                               // (f.ssw_k * (f.k - 1))
                     END AS BIGINT) AS f_scaled
         FROM g, f ORDER BY g.dow

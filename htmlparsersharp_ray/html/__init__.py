@@ -26,9 +26,3 @@ def parse_chunked(text, chunk_size, **kwargs):
     any chunking; the bounded-memory path for giant documents."""
     from .feed import parse_chunked as _parse_chunked
     return _parse_chunked(text, chunk_size, **kwargs)
-
-
-def feed_parser(**kwargs):
-    """Incremental FeedParser factory (feed(chunk)… then finish())."""
-    from .feed import FeedParser
-    return FeedParser(**kwargs)

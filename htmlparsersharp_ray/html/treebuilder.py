@@ -196,9 +196,6 @@ class TreeBuilder:
                 tok.error_log.append(
                     (tok.mark, code or "tree-construction"))
 
-    def _current(self):
-        return self.open[-1]
-
     def _adjusted_current(self):
         if self.fragment_ctx is not None and len(self.open) == 1:
             return self.fragment_ctx
@@ -299,9 +296,6 @@ class TreeBuilder:
             self.node_capped = True
             self.error("node-count-limit")
         return el
-
-    def _pop(self):
-        return self.open.pop()
 
     def _pop_until(self, *names):
         """Pop until an HTML element with one of ``names`` is popped."""

@@ -49,7 +49,9 @@ def auto_buckets(
     """Derive the bucket count from INPUT FILE metadata (never executes
     any plan): one bucket's working set ≈ 3× the compressed
     bytes / n_buckets should fit a worker heap. Falls back to
-    ``default`` when no file metadata exists (e.g. from_pandas inputs).
+    ``default`` when no file metadata exists: from_pandas inputs, and
+    every Dataset derived by ``map_batches`` or ``union`` (Ray 2.49.2's
+    ``input_files()`` is empty for those), so such inputs always get 64.
     Power-of-two, clamped to [lo, hi] — the hi clamp bounds Ray's
     ~1 ms/group scheduling overhead (~4 s at 4096); inputs so large
     that 4096 buckets exceed worker heaps should pre-aggregate / prune

@@ -27,6 +27,11 @@ from ray.data.aggregate import Count, Max, Mean, Min
 from ..stages.exchange import bucket_group_map, key_buckets, key_hash64
 from .joins import auto_buckets
 
+# Fixed-point scales, one name per decision; the oracles in
+# __ray_entry__.py format these same constants into their SQL.
+EMB_GRID = 1 << 20  # embedding components quantize to rint(x · 2^20)
+STAT_SCALE = 1 << 20  # floored statistics report ⌊stat · 2^20⌋
+
 
 def _pysum_cols(df: pd.DataFrame, cols) -> pd.DataFrame:
     """Final-merge overflow guard (ADVICE r2): convert partial-sum
@@ -34,10 +39,50 @@ def _pysum_cols(df: pd.DataFrame, cols) -> pd.DataFrame:
     accumulates with arbitrary precision — scaled revenue units run
     ~3e8/row, which would wrap a plain int64 sum near ~3e10 rows.
     Per-batch partials stay int64 (bounded by block size); only the
-    tiny driver/bucket merge pays the object-dtype cost."""
+    tiny driver/bucket merge pays the object-dtype cost. The dtype is
+    explicit: a plain list of ints that fit is re-inferred as int64."""
     for c in cols:
-        df[c] = [int(v) for v in df[c]]
+        df[c] = pd.Series([int(v) for v in df[c]], index=df.index,
+                          dtype=object)
     return df
+
+
+def _cents(col) -> pa.Array:
+    """Money → exact int64 cents: the oracle's
+    ``CAST(round(x * 100) AS BIGINT)`` (half to even, as ``np.round``)."""
+    return pc.cast(pc.round(pc.multiply(col, 100.0)), pa.int64())
+
+
+def _group_sums(ds, keys: list, terms) -> pd.DataFrame:
+    """Exact grouped SUM/COUNT — the one partial → merge path.
+
+    ``terms(batch: pa.Table) -> pa.Table`` returns the ``keys`` columns
+    plus int64 value columns (cast bool flags: pyarrow sums bool as
+    uint64; never floats: their sum depends on the order). Each batch
+    collapses to one row per group inside ``map_batches`` (Ray's own
+    ``groupby().aggregate()`` sort-shuffles every row); the driver
+    merges those partials in Python ints (:func:`_pysum_cols`), so no
+    total wraps int64. Returns one row per non-null key, sorted by
+    ``keys``: the keys, each value column's sum and the row count
+    ``n_rows`` — int64 where every total fits, else Python ints."""
+    def partial(batch: pa.Table) -> pa.Table:
+        t = terms(batch)
+        vals = [c for c in t.column_names if c not in keys]
+        sum0 = pc.ScalarAggregateOptions(min_count=0)  # pandas: empty sum 0
+        g = t.group_by(keys).aggregate(
+            [(c, "sum", sum0) for c in vals] + [([], "count_all")])
+        return g.select(keys + [c + "_sum" for c in vals] + ["count_all"]) \
+            .rename_columns(keys + vals + ["n_rows"])
+
+    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    if parts.empty:  # an all-empty to_pandas may lose its columns
+        return parts
+    vals = [c for c in parts.columns if c not in keys]
+    out = _pysum_cols(parts, vals).groupby(keys, as_index=False).sum()
+    for c in vals:
+        if all(-(1 << 63) <= v < 1 << 63 for v in out[c]):
+            out[c] = out[c].astype("int64")
+    return out
 
 
 def _t(sf_dir: str, name: str) -> str:
@@ -99,18 +144,14 @@ def _views_and_purchases(batch: pa.Table) -> pa.Table:
     return batch.filter(mask)
 
 
-def _view_purchase_cents(b: pd.DataFrame) -> pd.DataFrame:
-    """Per-batch histogram of event ``value`` in integer cents:
-    ``(v, d1, d2)`` = view and purchase counts at cent value ``v``."""
-    import numpy as np
-
-    t = b["event_type"].to_numpy()
-    m = (t == "view") | (t == "purchase")
-    v = np.round(b["value"].to_numpy()[m] * 100).astype(np.int64)
-    is1 = (t[m] == "view").astype(np.int64)
-    return (pd.DataFrame({"v": v, "d1": is1, "d2": 1 - is1})
-            .groupby("v", as_index=False)
-            .agg(d1=("d1", "sum"), d2=("d2", "sum")))
+def _view_purchase_cents(b: pa.Table) -> pa.Table:
+    """:func:`_group_sums` terms of the view/purchase cent histogram:
+    ``(v, d1, d2)`` = event ``value`` in integer cents, is-view and
+    is-purchase flags."""
+    b = _views_and_purchases(b)
+    is1 = pc.cast(pc.equal(b["event_type"], "view"), pa.int64())
+    return pa.table({"v": _cents(b["value"]), "d1": is1,
+                     "d2": pc.subtract(1, is1)})
 
 
 def _quantile_cont(v, q: float) -> float:
@@ -150,7 +191,7 @@ def q_lineitem_agg(sf_dir: str):
     ANY reduction order gives identical bits — then divide once at the end.
     PER-BATCH partials stay int64 (a block's sum is bounded far below
     2^63); the FINAL driver-side merge accumulates in Python ints via
-    :func:`_pysum_cols`, so even group totals past ~3e10 rows (where
+    :func:`_group_sums`, so even group totals past ~3e10 rows (where
     rev_u ≈ 3e8/row would wrap int64 — ADVICE r2) stay exact. The oracle
     casts to DECIMAL (hugeint accumulation), the same exact arithmetic.
     Each batch pre-aggregates to ≤6 partial rows inside map_batches; the
@@ -161,39 +202,17 @@ def q_lineitem_agg(sf_dir: str):
                  "l_extendedprice", "l_discount"],
     )
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        """Per-batch partial aggregate in exact cents: the whole batch
-        collapses to ≤6 rows before any exchange (Ray's own
-        groupby().aggregate() sort-shuffles every row — measured 9.7 s
-        for 150k rows; this path merges n_blocks×6 partial rows)."""
-        def cents(col):
-            return pc.cast(pc.round(pc.multiply(batch.column(col), pa.scalar(100.0))), pa.int64())
+    def terms(b: pa.Table) -> pa.Table:
+        price_c, disc_c = _cents(b["l_extendedprice"]), _cents(b["l_discount"])
+        return pa.table({
+            "l_returnflag": b["l_returnflag"], "l_linestatus": b["l_linestatus"],
+            "qty_c": _cents(b["l_quantity"]), "price_c": price_c,
+            "rev_u": pc.multiply(price_c, pc.subtract(100, disc_c)),
+            "disc_c": disc_c,
+        })
 
-        qty_c, price_c, disc_c = cents("l_quantity"), cents("l_extendedprice"), cents("l_discount")
-        rev_u = pc.multiply(price_c, pc.subtract(pa.scalar(100, pa.int64()), disc_c))
-        t = pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "l_linestatus": batch.column("l_linestatus"),
-            "qty_c": qty_c, "price_c": price_c, "disc_c": disc_c, "rev_u": rev_u,
-        }).to_pandas()
-        g = t.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            qty_c=("qty_c", "sum"), price_c=("price_c", "sum"),
-            rev_u=("rev_u", "sum"), disc_c=("disc_c", "sum"),
-            count_order=("qty_c", "count"),
-        )
-        return g
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    parts = _pysum_cols(parts, ["qty_c", "price_c", "rev_u", "disc_c"])
-    df = (
-        parts.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-        .agg(qty_c=("qty_c", "sum"), price_c=("price_c", "sum"),
-             rev_u=("rev_u", "sum"), disc_c=("disc_c", "sum"),
-             count_order=("count_order", "sum"))
-        .sort_values(["l_returnflag", "l_linestatus"])
-        .reset_index(drop=True)
-    )
-    df["count_order"] = df["count_order"].astype("int64")
+    df = _group_sums(ds, ["l_returnflag", "l_linestatus"], terms)
+    df["count_order"] = df.pop("n_rows").astype("int64")
     df["sum_qty"] = df.pop("qty_c") / 100.0
     df["sum_base_price"] = df.pop("price_c") / 100.0
     df["sum_revenue"] = df.pop("rev_u") / 10000.0
@@ -266,21 +285,6 @@ def q_join_broadcast(sf_dir: str,
     except Exception:
         cust_bytes = None
 
-    def agg_segment(batch: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        batch["tp_cents"] = np.round(
-            batch["o_totalprice"].to_numpy() * 100
-        ).astype("int64")
-        return batch.groupby("c_mktsegment", as_index=False).agg(
-            tp_cents=("tp_cents", "sum"), n_orders=("tp_cents", "count")
-        )
-
-    # Exact fixed-point sums (cents, int64) pre-aggregated PER BATCH inside
-    # the map — integer sums are order-insensitive, so merging the tiny
-    # per-batch partials in any order is bit-deterministic. Ray's own
-    # groupby().aggregate() sort-shuffles every row (measured 9.7 s for
-    # 150k rows / 5 groups); the partials merge is n_blocks×5 rows.
     if cust_bytes is not None and cust_bytes <= broadcast_threshold_bytes:
         cust = cust_ds.to_pandas()
         lookup_ref = ray.put(dict(zip(cust["c_custkey"],
@@ -292,29 +296,18 @@ def q_join_broadcast(sf_dir: str,
 
             def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
                 batch["c_mktsegment"] = batch["o_custkey"].map(self.lookup)
-                return agg_segment(batch)
+                return batch
 
-        parts = (
-            ds.map_batches(JoinSegment, batch_format="pandas",
-                           concurrency=(1, 2))
-            .to_pandas()
-        )
+        joined = ds.map_batches(JoinSegment, batch_format="pandas",
+                                concurrency=(1, 2))
     else:
         from .joins import hash_join
 
-        parts = (
-            hash_join(ds, cust_ds, "o_custkey", "c_custkey", "inner")
-            .map_batches(agg_segment, batch_format="pandas")
-            .to_pandas()
-        )
-    parts = _pysum_cols(parts, ["tp_cents"])
-    df = (
-        parts.groupby("c_mktsegment", as_index=False)
-        .agg(tp_cents=("tp_cents", "sum"), n_orders=("n_orders", "sum"))
-        .sort_values("c_mktsegment")
-        .reset_index(drop=True)
-    )
-    df["n_orders"] = df["n_orders"].astype("int64")
+        joined = hash_join(ds, cust_ds, "o_custkey", "c_custkey", "inner")
+    df = _group_sums(joined, ["c_mktsegment"], lambda b: pa.table({
+        "c_mktsegment": b["c_mktsegment"],
+        "tp_cents": _cents(b["o_totalprice"])}))
+    df["n_orders"] = df.pop("n_rows").astype("int64")
     df["total_price"] = df.pop("tp_cents") / 100.0
     return df[["c_mktsegment", "total_price", "n_orders"]]
 
@@ -351,37 +344,11 @@ def q_events_window(sf_dir: str):
         _t(sf_dir, "events"), columns=["event_type", "ts", "value"]
     )
 
-    def add_window(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch.column("ts"), unit="hour")
-        value_c = pc.cast(
-            pc.round(pc.multiply(batch.column("value"), pa.scalar(100.0))), pa.int64()
-        )
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "window_start": hour,
-            "value_c": value_c,
-        })
-
-    # Exact fixed-point sums (cents) pre-aggregated per batch — order-
-    # independent, so merging the per-batch partials is bit-deterministic
-    # (and skips Ray's row-level sort aggregate; see q_lineitem_agg).
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        t = add_window(batch).to_pandas()
-        return t.groupby(["event_type", "window_start"], as_index=False).agg(
-            value_c=("value_c", "sum"), n_events=("value_c", "count")
-        )
-
-    parts = (
-        ds.map_batches(lambda b: partial(b), batch_format="pyarrow").to_pandas()
-    )
-    parts = _pysum_cols(parts, ["value_c"])
-    df = (
-        parts.groupby(["event_type", "window_start"], as_index=False)
-        .agg(value_c=("value_c", "sum"), n_events=("n_events", "sum"))
-        .sort_values(["event_type", "window_start"])
-        .reset_index(drop=True)
-    )
-    df["n_events"] = df["n_events"].astype("int64")
+    df = _group_sums(ds, ["event_type", "window_start"], lambda b: pa.table({
+        "event_type": b["event_type"],
+        "window_start": pc.floor_temporal(b["ts"], unit="hour"),
+        "value_c": _cents(b["value"])}))
+    df["n_events"] = df.pop("n_rows").astype("int64")
     df["sum_value"] = df.pop("value_c") / 100.0
     return df[["event_type", "window_start", "sum_value", "n_events"]]
 
@@ -475,15 +442,13 @@ def q_events_running_total(sf_dir: str):
     sort + per-user cumsum computes every user's window. Exact int64
     cents accumulate the running sum, so the result bit-matches the
     DECIMAL-window oracle."""
-    import numpy as np
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_id", "ts", "value"]
     )
 
     def running(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
-        cents = np.round(g["value"].to_numpy() * 100).astype("int64")
+        cents = _cents(g["value"].to_numpy()).to_numpy()
         g["run_total"] = (
             pd.Series(cents, index=g.index).groupby(g["user_id"]).cumsum()
             / 100.0
@@ -529,7 +494,7 @@ def q_orders_semi(sf_dir: str,
         cust_bytes = None
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        tp_c = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
+        tp_c = _cents(b["o_totalprice"].to_numpy()).to_numpy()
         return pd.DataFrame({"tp_cents": [int(tp_c.sum())],
                              "n_orders": [int(len(b))]})
 
@@ -611,8 +576,6 @@ def q_events_sessions(sf_dir: str):
     makes per-USER groups a scale bug — ~1 ms/group);
     inside a bucket the whole segmentation is vectorized pandas (sort,
     diff, cumsum, grouped agg — all C loops over every user at once)."""
-    import numpy as np
-
     gap = pd.Timedelta(minutes=30)
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_id", "ts", "value"]
@@ -627,7 +590,7 @@ def q_events_sessions(sf_dir: str):
         new_session = user_changed | (g["ts"].diff() > gap)
         g["session_no"] = new_session.cumsum()  # globally unique in bucket
         # exact cents sum => bit-deterministic (see q_lineitem_agg)
-        g["value_c"] = np.round(g["value"].to_numpy() * 100).astype("int64")
+        g["value_c"] = _cents(g["value"].to_numpy()).to_numpy()
         out = (
             g.groupby("session_no")
             .agg(
@@ -710,8 +673,6 @@ def q_order_revenue_top10(sf_dir: str):
     (measured 16 s for 15k groups) — hence pandas partials, not Ray Sum.
     Order dates are fetched with a pushed-down filter on the final 10 keys
     only; orders is never materialized on the driver."""
-    import numpy as np
-
     n_buckets = 16
     ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
@@ -719,8 +680,8 @@ def q_order_revenue_top10(sf_dir: str):
     )
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        pr_c = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        di_c = np.round(b["l_discount"].to_numpy() * 100).astype("int64")
+        pr_c = _cents(b["l_extendedprice"].to_numpy()).to_numpy()
+        di_c = _cents(b["l_discount"].to_numpy()).to_numpy()
         g = pd.DataFrame(
             {"l_orderkey": b["l_orderkey"], "rev_u": pr_c * (100 - di_c)}
         ).groupby("l_orderkey", as_index=False)["rev_u"].sum()
@@ -845,8 +806,6 @@ def q_lineitem_global_agg(sf_dir: str):
     ints (arbitrary precision — a global 1e-4-unit revenue sum is the
     first place a plain int64 reduction would wrap at extreme scale,
     ADVICE r2). One row out."""
-    import numpy as np
-
     cutoff = pd.Timestamp("1995-01-01")
     ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
@@ -856,8 +815,8 @@ def q_lineitem_global_agg(sf_dir: str):
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         b = b[(b["l_shipdate"] >= cutoff) & (b["l_quantity"] < 24.0)
               & (b["l_discount"] >= 0.05)]
-        pr_c = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        di_c = np.round(b["l_discount"].to_numpy() * 100).astype("int64")
+        pr_c = _cents(b["l_extendedprice"].to_numpy()).to_numpy()
+        di_c = _cents(b["l_discount"].to_numpy()).to_numpy()
         return pd.DataFrame({
             "rev_u": [int((pr_c * di_c).sum())],
             "n_rows": [int(len(b))],
@@ -994,25 +953,9 @@ def q_lineitem_rollup(sf_dir: str):
         columns=["l_returnflag", "l_linestatus", "l_quantity"],
     )
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        qty_c = pc.cast(
-            pc.round(pc.multiply(batch.column("l_quantity"), pa.scalar(100.0))),
-            pa.int64(),
-        )
-        t = pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "l_linestatus": batch.column("l_linestatus"),
-            "qty_c": qty_c,
-        }).to_pandas()
-        return t.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            qty_c=("qty_c", "sum"), n_rows=("qty_c", "count")
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    parts = _pysum_cols(parts, ["qty_c"])
-    leaf = parts.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-        qty_c=("qty_c", "sum"), n_rows=("n_rows", "sum")
-    )
+    leaf = _group_sums(ds, ["l_returnflag", "l_linestatus"], lambda b: pa.table({
+        "l_returnflag": b["l_returnflag"], "l_linestatus": b["l_linestatus"],
+        "qty_c": _cents(b["l_quantity"])}))
     lvl1 = leaf.groupby("l_returnflag", as_index=False).agg(
         qty_c=("qty_c", "sum"), n_rows=("n_rows", "sum")
     )
@@ -1207,27 +1150,15 @@ def q_part_band_join(sf_dir: str):
     band_lo = np.array([900, 920, 940, 960, 980], dtype=np.int64)
     ds = ray.data.read_parquet(_t(sf_dir, "part"), columns=["p_retailprice"])
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def terms(batch: pa.Table) -> pa.Table:
         price = batch.column("p_retailprice").to_numpy(zero_copy_only=False)
         idx = np.searchsorted(edges, price, side="right") - 1
         keep = (idx >= 0) & (idx < len(band_lo)) & (price < edges[-1])
-        idx, price = idx[keep], price[keep]
-        cents = np.round(price * 100).astype("int64")
-        t = pd.DataFrame({"band_lo": band_lo[idx], "cents": cents})
-        g = t.groupby("band_lo", as_index=False).agg(
-            n_parts=("cents", "count"), cents=("cents", "sum")
-        )
-        return g
+        return pa.table({"band_lo": band_lo[idx[keep]],
+                         "cents": _cents(price[keep])})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    parts = _pysum_cols(parts, ["cents"])
-    df = (
-        parts.groupby("band_lo", as_index=False)
-        .agg(n_parts=("n_parts", "sum"), cents=("cents", "sum"))
-        .sort_values("band_lo")
-        .reset_index(drop=True)
-    )
-    df["n_parts"] = df["n_parts"].astype("int64")
+    df = _group_sums(ds, ["band_lo"], terms)
+    df["n_parts"] = df.pop("n_rows").astype("int64")
     df["sum_price"] = df.pop("cents") / 100.0
     return df[["band_lo", "n_parts", "sum_price"]]
 
@@ -1249,25 +1180,10 @@ def q_customer_cube(sf_dir: str):
         columns=["c_mktsegment", "c_nationkey", "c_acctbal"],
     )
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        cents = np.round(
-            batch.column("c_acctbal").to_numpy(zero_copy_only=False) * 100
-        ).astype("int64")
-        t = pd.DataFrame({
-            "c_mktsegment": batch.column("c_mktsegment").to_pylist(),
-            "c_nationkey": batch.column("c_nationkey").to_numpy(
-                zero_copy_only=False).astype("int64"),
-            "cents": cents,
-        })
-        return t.groupby(["c_mktsegment", "c_nationkey"], as_index=False).agg(
-            n_customers=("cents", "count"), cents=("cents", "sum")
-        )
-
-    finest = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    finest = _pysum_cols(finest, ["cents"])
-    finest = finest.groupby(["c_mktsegment", "c_nationkey"], as_index=False).agg(
-        n_customers=("n_customers", "sum"), cents=("cents", "sum")
-    )
+    finest = _group_sums(ds, ["c_mktsegment", "c_nationkey"], lambda b: pa.table({
+        "c_mktsegment": b["c_mktsegment"],
+        "c_nationkey": pc.cast(b["c_nationkey"], pa.int64()),
+        "cents": _cents(b["c_acctbal"])})).rename(columns={"n_rows": "n_customers"})
 
     def level(df, seg, nat):
         keys = []
@@ -1307,28 +1223,17 @@ def q_events_props_extract(sf_dir: str):
         _t(sf_dir, "events"), columns=["event_type", "props"]
     )
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def terms(b: pa.Table) -> pa.Table:
         # string → int64 directly (no float64 round-trip: values above
         # 2^53 must stay exact, matching the oracle's TRY_CAST)
-        k = (
-            b["props"].fillna("").str.extract(r'"k"\s*:\s*(-?\d+)')[0]
-            .fillna("0").astype("int64")
-        )
-        t = pd.DataFrame({"event_type": b["event_type"], "k": k})
-        return t.groupby("event_type", as_index=False).agg(
-            sum_k=("k", "sum"), n_events=("k", "count")
-        )
+        k = pc.struct_field(pc.extract_regex(
+            b["props"], r'"k"\s*:\s*(?P<k>-?\d+)'), "k")
+        return pa.table({"event_type": b["event_type"], "sum_k": pc.cast(
+            pc.fill_null(k, "0"), pa.int64())})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["sum_k"])
-    df = (
-        parts.groupby("event_type", as_index=False)
-        .agg(sum_k=("sum_k", "sum"), n_events=("n_events", "sum"))
-        .sort_values("event_type")
-        .reset_index(drop=True)
-    )
+    df = _group_sums(ds, ["event_type"], terms)
     df["sum_k"] = df["sum_k"].map(int).astype("int64")
-    df["n_events"] = df["n_events"].astype("int64")
+    df["n_events"] = df.pop("n_rows").astype("int64")
     return df
 
 
@@ -1351,7 +1256,7 @@ def q_events_moving_avg(sf_dir: str):
 
     def win(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
-        cents = np.round(g["value"].to_numpy() * 100).astype("int64")
+        cents = _cents(g["value"].to_numpy()).to_numpy()
         cs = np.cumsum(cents)
         k = g.groupby("user_id", sort=False).cumcount().to_numpy()
         back = np.minimum(k, 3)
@@ -1680,8 +1585,8 @@ def q_region_revenue(sf_dir: str,
     def _li_partial(b: pd.DataFrame, s_nat: np.ndarray) -> pd.DataFrame:
         """Exact-cents pre-aggregation to (orderkey, nation) grain —
         shared by both planner paths (broadcast map vs joined column)."""
-        pr_c = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        di_c = np.round(b["l_discount"].to_numpy() * 100).astype("int64")
+        pr_c = _cents(b["l_extendedprice"].to_numpy()).to_numpy()
+        di_c = _cents(b["l_discount"].to_numpy()).to_numpy()
         out = pd.DataFrame(
             {
                 "l_orderkey": b["l_orderkey"].to_numpy(dtype=np.int64),
@@ -1731,13 +1636,8 @@ def q_region_revenue(sf_dir: str,
 
     joined = hash_join(li, cust_orders, left_on="l_orderkey", right_on="o_orderkey")
 
-    def local_only(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["s_nat"].to_numpy() == df["c_nationkey"].to_numpy()]
-        return df.groupby("s_nat", as_index=False)["rev_u"].sum()
-
-    parts = joined.map_batches(local_only, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["rev_u"])
-    agg = parts.groupby("s_nat", as_index=False)["rev_u"].sum()
+    agg = _group_sums(joined, ["s_nat"], lambda b: b.filter(
+        pc.equal(b["s_nat"], b["c_nationkey"])).select(["s_nat", "rev_u"]))
     agg["n_name"] = agg["s_nat"].map(nat_names)
     agg["revenue"] = agg.pop("rev_u") / 10000.0
     return (
@@ -1803,49 +1703,32 @@ def q_lineitem_corr(sf_dir: str):
     match bitwise — a float statistic with no float accumulation."""
     import math
 
-    import numpy as np
+    rows = []
+    for r in _qty_price_moments(sf_dir).itertuples(index=False):
+        n, sx, sy, sxy, sxx, syy = map(
+            int, (r.n_rows, r.sx, r.sy, r.sxy, r.sxx, r.syy))
+        corr = float(n * sxy - sx * sy) / (
+            math.sqrt(float(n * sxx - sx * sx)) * math.sqrt(float(n * syy - sy * sy))
+        )
+        rows.append((r.l_returnflag, corr, n))
+    return pd.DataFrame(rows, columns=["l_returnflag", "corr_qty_price", "n_rows"])
+
+
+def _qty_price_moments(sf_dir: str) -> pd.DataFrame:
+    """Per ``l_returnflag``: exact Σx, Σy, Σxy, Σx², Σy² and n over
+    x = quantity, y = extendedprice in cents (corr and regr)."""
+    def terms(b: pa.Table) -> pa.Table:
+        x, y = _cents(b["l_quantity"]), _cents(b["l_extendedprice"])
+        return pa.table({
+            "l_returnflag": b["l_returnflag"], "sx": x, "sy": y,
+            "sxy": pc.multiply(x, y), "sxx": pc.multiply(x, x),
+            "syy": pc.multiply(y, y)})
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
         columns=["l_returnflag", "l_quantity", "l_extendedprice"],
     )
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        x = np.round(b["l_quantity"].to_numpy() * 100).astype("int64")
-        y = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        d = pd.DataFrame(
-            {
-                "l_returnflag": b["l_returnflag"],
-                "sx": x,
-                "sy": y,
-                "sxy": x * y,
-                "sxx": x * x,
-                "syy": y * y,
-            }
-        )
-        out = d.groupby("l_returnflag", as_index=False).sum()
-        out["n_rows"] = (
-            b.groupby("l_returnflag", as_index=False)
-            .size()["size"].to_numpy().astype("int64")
-        )
-        return out
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["sx", "sy", "sxy", "sxx", "syy", "n_rows"])
-    rows = []
-    for flag, g in parts.groupby("l_returnflag"):
-        n = sum(g["n_rows"])
-        sx, sy = sum(g["sx"]), sum(g["sy"])
-        sxy, sxx, syy = sum(g["sxy"]), sum(g["sxx"]), sum(g["syy"])
-        corr = float(n * sxy - sx * sy) / (
-            math.sqrt(float(n * sxx - sx * sx)) * math.sqrt(float(n * syy - sy * sy))
-        )
-        rows.append((flag, corr, int(n)))
-    return (
-        pd.DataFrame(rows, columns=["l_returnflag", "corr_qty_price", "n_rows"])
-        .sort_values("l_returnflag")
-        .reset_index(drop=True)
-    )
+    return _group_sums(ds, ["l_returnflag"], terms)
 
 
 def q_region_nations(sf_dir: str):
@@ -1895,8 +1778,6 @@ def q_join_full(sf_dir: str):
     on only one side, exercising both null-fill directions. Unmatched
     sums coalesce to 0 like the SQL. The composite key is a single
     string column so the generic single-key exchange applies."""
-    import numpy as np
-
     from .joins import hash_join
 
     def side(event_type: str, cname: str):
@@ -1915,7 +1796,7 @@ def q_join_full(sf_dir: str):
             d = pd.DataFrame({
                 "ukey": b["user_id"].astype(str) + "#"
                         + b["ts"].dt.strftime("%Y-%m-%d"),
-                cname: np.round(b["value"].to_numpy() * 100).astype("int64"),
+                cname: _cents(b["value"].to_numpy()).to_numpy(),
             })
             return d.groupby("ukey", as_index=False).sum()
 
@@ -2013,41 +1894,14 @@ def q_lineitem_regr(sf_dir: str):
     and intercept as single float expressions mirrored verbatim in the
     oracle so the doubles match bitwise. Slope is unit-free (both
     variables scale by 100); the intercept divides back to currency."""
-    import numpy as np
-
-    ds = ray.data.read_parquet(
-        _t(sf_dir, "lineitem"),
-        columns=["l_returnflag", "l_quantity", "l_extendedprice"],
-    )
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        x = np.round(b["l_quantity"].to_numpy() * 100).astype("int64")
-        y = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        d = pd.DataFrame({
-            "l_returnflag": b["l_returnflag"],
-            "sx": x, "sy": y, "sxy": x * y, "sxx": x * x,
-        })
-        out = d.groupby("l_returnflag", as_index=False).sum()
-        out["n_rows"] = (
-            b.groupby("l_returnflag", as_index=False)
-            .size()["size"].to_numpy().astype("int64")
-        )
-        return out
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["sx", "sy", "sxy", "sxx", "n_rows"])
     rows = []
-    for flag, g in parts.groupby("l_returnflag"):
-        n = sum(g["n_rows"])
-        sx, sy, sxy, sxx = sum(g["sx"]), sum(g["sy"]), sum(g["sxy"]), sum(g["sxx"])
+    for r in _qty_price_moments(sf_dir).itertuples(index=False):
+        n, sx, sy, sxy, sxx = map(int, (r.n_rows, r.sx, r.sy, r.sxy, r.sxx))
         slope = float(n * sxy - sx * sy) / float(n * sxx - sx * sx)
         intercept = (float(sy) - slope * float(sx)) / float(n) / 100.0
-        rows.append((flag, slope, intercept, int(n)))
-    return (
-        pd.DataFrame(rows, columns=["l_returnflag", "slope", "intercept", "n_rows"])
-        .sort_values("l_returnflag")
-        .reset_index(drop=True)
-    )
+        rows.append((r.l_returnflag, slope, intercept, n))
+    return pd.DataFrame(
+        rows, columns=["l_returnflag", "slope", "intercept", "n_rows"])
 
 
 def q_events_ab_test(sf_dir: str):
@@ -2066,29 +1920,20 @@ def q_events_ab_test(sf_dir: str):
     per batch."""
     import math
 
-    import numpy as np
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.round(b["value"].to_numpy() * 100).astype("int64")
-        d = pd.DataFrame({
-            "event_type": b["event_type"],
-            "cohort": (b["user_id"].to_numpy() % 2).astype("int64"),
-            "s": v, "q": v * v,
-        })
-        out = d.groupby(["event_type", "cohort"], as_index=False).agg(
-            s=("s", "sum"), q=("q", "sum"), n=("s", "size"))
-        out["n"] = out["n"].astype("int64")
-        return out
+    def terms(b: pa.Table) -> pa.Table:
+        v = _cents(b["value"])
+        return pa.table({"event_type": b["event_type"],
+                         "cohort": pc.bit_wise_and(b["user_id"], 1),
+                         "s": v, "q": pc.multiply(v, v)})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["s", "q", "n"])
+    parts = _group_sums(ds, ["event_type", "cohort"], terms)
     rows = []
     for et, g in parts.groupby("event_type"):
-        agg = {int(c): (sum(gc["n"]), sum(gc["s"]), sum(gc["q"]))
-               for c, gc in g.groupby("cohort")}
+        agg = {int(r.cohort): (int(r.n_rows), int(r.s), int(r.q))
+               for r in g.itertuples(index=False)}
         (na, sa, qa), (nb, sb, qb) = agg[0], agg[1]
         mean_a = float(sa) / na / 100.0
         mean_b = float(sb) / nb / 100.0
@@ -2109,33 +1954,15 @@ def q_orders_monthly(sf_dir: str):
     calendar month) — the temporal re-bucketing every training-data
     freshness dashboard needs. Per-batch partials bound the exchange to
     |months| rows per batch; the final merge is tiny and Python-int."""
-    import numpy as np
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "orders"), columns=["o_orderdate", "o_totalprice"]
     )
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame({
-            "month": b["o_orderdate"].dt.strftime("%Y-%m"),
-            "rev_c": np.round(b["o_totalprice"].to_numpy() * 100).astype("int64"),
-        })
-        out = d.groupby("month", as_index=False).agg(
-            rev_c=("rev_c", "sum"), n_orders=("rev_c", "count")
-        )
-        out["n_orders"] = out["n_orders"].astype("int64")
-        return out
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["rev_c", "n_orders"])
-    out = parts.groupby("month", as_index=False).sum()
+    out = _group_sums(ds, ["month"], lambda b: pa.table({
+        "month": pc.strftime(b["o_orderdate"], "%Y-%m"),
+        "rev_c": _cents(b["o_totalprice"])}))
     out["revenue"] = [int(v) / 100.0 for v in out["rev_c"]]
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return (
-        out[["month", "n_orders", "revenue"]]
-        .sort_values("month")
-        .reset_index(drop=True)
-    )
+    out["n_orders"] = out["n_rows"].astype("int64")
+    return out[["month", "n_orders", "revenue"]]
 
 
 def q_events_histogram(sf_dir: str):
@@ -2143,27 +1970,14 @@ def q_events_histogram(sf_dir: str):
     the data-quality profiling primitive. Bin id is one vectorized
     floor; per-batch partial counts bound the exchange to
     |types|×|bins| rows per batch."""
-    import numpy as np
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_type", "value"]
     )
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame({
-            "event_type": b["event_type"],
-            "bin": np.floor(b["value"].to_numpy() / 10.0).astype("int64"),
-        })
-        out = d.groupby(["event_type", "bin"], as_index=False).size()
-        return out.rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out = parts.groupby(["event_type", "bin"], as_index=False)["n"].sum()
-    out["n"] = out["n"].astype("int64")
-    return (
-        out.sort_values(["event_type", "bin"])
-        .reset_index(drop=True)
-    )
+    out = _group_sums(ds, ["event_type", "bin"], lambda b: pa.table({
+        "event_type": b["event_type"],
+        "bin": pc.cast(pc.floor(pc.divide(b["value"], 10.0)), pa.int64())}))
+    out["n"] = out.pop("n_rows").astype("int64")
+    return out
 
 
 def q_orders_weighted_sample(sf_dir: str):
@@ -2192,8 +2006,7 @@ def q_orders_weighted_sample(sf_dir: str):
              for k in keys),
             dtype=np.int64, count=len(keys),
         )
-        cents = np.round(
-            batch.column("o_totalprice").to_numpy() * 100).astype(np.int64)
+        cents = _cents(batch.column("o_totalprice").to_numpy()).to_numpy()
         mask = u32 * np.int64(W_CENTS) < (cents << np.int64(32))
         return batch.filter(pa.array(mask)).select(["o_orderkey"])
 
@@ -2228,7 +2041,7 @@ def q_events_range_frame(sf_dir: str):
     def win(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
         ts = g["ts"].astype("int64").to_numpy()
-        cents = np.round(g["value"].to_numpy() * 100).astype("int64")
+        cents = _cents(g["value"].to_numpy()).to_numpy()
         uid = g["user_id"].to_numpy()
         n = len(g)
         new_user = np.empty(n, dtype=bool)
@@ -2282,24 +2095,17 @@ def q_part_zscore(sf_dir: str):
         _t(sf_dir, "part"), columns=["p_partkey", "p_brand", "p_retailprice"]
     )
 
-    def moments(b: pd.DataFrame) -> pd.DataFrame:
-        x = np.round(b["p_retailprice"].to_numpy() * 100).astype("int64")
-        d = pd.DataFrame({"p_brand": b["p_brand"], "sx": x, "sxx": x * x})
-        out = d.groupby("p_brand", as_index=False).sum()
-        out["n_rows"] = (
-            b.groupby("p_brand", as_index=False)
-            .size()["size"].to_numpy().astype("int64")
-        )
-        return out
+    def moments(b: pa.Table) -> pa.Table:
+        x = _cents(b["p_retailprice"])
+        return pa.table({"p_brand": b["p_brand"], "sx": x,
+                         "sxx": pc.multiply(x, x)})
 
-    parts = ds.map_batches(moments, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["sx", "sxx", "n_rows"])
     rows = []
-    for brand, g in parts.groupby("p_brand"):
-        n, sx, sxx = sum(g["n_rows"]), sum(g["sx"]), sum(g["sxx"])
+    for r in _group_sums(ds, ["p_brand"], moments).itertuples(index=False):
+        n, sx, sxx = int(r.n_rows), int(r.sx), int(r.sxx)
         mean = float(sx) / float(n)
         var = float(n * sxx - sx * sx) / (float(n) * float(n))
-        rows.append((brand, mean, math.sqrt(var)))
+        rows.append((r.p_brand, mean, math.sqrt(var)))
     stats_ref = ray.put(pd.DataFrame(rows, columns=["p_brand", "mean", "std"]))
 
     class Normalize:
@@ -2307,7 +2113,7 @@ def q_part_zscore(sf_dir: str):
             self.stats = ray.get(stats_ref)
 
         def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            x = np.round(b["p_retailprice"].to_numpy() * 100).astype("int64")
+            x = _cents(b["p_retailprice"].to_numpy()).to_numpy()
             m = b.merge(self.stats, on="p_brand", how="left")
             mean = m["mean"].to_numpy()
             std = m["std"].to_numpy()
@@ -2560,22 +2366,13 @@ def q_events_share(sf_dir: str):
     divides vectorized. Numerator and denominator are both exact
     integers, so the single /-division is the only float op — bitwise
     equal to the oracle's expression."""
-    import numpy as np
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "event_type", "value"]
     )
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame({
-            "event_type": b["event_type"],
-            "vc": np.round(b["value"].to_numpy() * 100).astype("int64"),
-        })
-        return d.groupby("event_type", as_index=False).sum()
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["vc"])
-    totals = {t: sum(g["vc"]) for t, g in parts.groupby("event_type")}
+    parts = _group_sums(ds, ["event_type"], lambda b: pa.table({
+        "event_type": b["event_type"], "vc": _cents(b["value"])}))
+    totals = dict(zip(parts["event_type"], map(int, parts["vc"])))
     totals_ref = ray.put(totals)
 
     class Share:
@@ -2583,7 +2380,7 @@ def q_events_share(sf_dir: str):
             self.totals = ray.get(totals_ref)
 
         def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            vc = np.round(b["value"].to_numpy() * 100).astype("int64")
+            vc = _cents(b["value"].to_numpy()).to_numpy()
             tot = b["event_type"].map(self.totals).to_numpy(dtype="float64")
             return pd.DataFrame({
                 "event_id": b["event_id"],
@@ -2617,7 +2414,7 @@ def q_events_rolling_median(sf_dir: str):
     def med(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
         n = len(g)
-        cents = np.round(g["value"].to_numpy() * 100).astype("int64")
+        cents = _cents(g["value"].to_numpy()).to_numpy()
         k = g.groupby("user_id", sort=False).cumcount().to_numpy()
         back = np.minimum(k, 3)
         SENT = np.iinfo(np.int64).max
@@ -2669,7 +2466,7 @@ def q_part_mad(sf_dir: str):
 
     def mad(g: pd.DataFrame) -> pd.DataFrame:
         cents = np.sort(
-            np.round(g["p_retailprice"].to_numpy() * 100).astype("int64")
+            _cents(g["p_retailprice"].to_numpy()).to_numpy()
         )
         med_c = _interp_median(cents)
         dev = np.sort(np.abs(cents.astype(np.float64) - med_c))
@@ -2831,121 +2628,56 @@ def q_orders_page(sf_dir: str):
     return page
 
 
-def _selection_quantiles(ds, to_int, qs, to_weight=None):
-    """REUSABLE distributed selection — exact discrete quantiles of an
-    int64-valued expression over a Dataset WITHOUT a global sort.
-    ``to_int(batch) -> np.int64 array``; ``qs`` maps name → fraction.
-    Pass 1 reduces each batch to coarse value-histogram partials
-    (bucket = value >> 8, so the driver merge is bounded by the VALUE
-    RANGE / 256, never by row count); the cumulative histogram locates
-    the buckets containing the target ranks. Pass 2 re-streams the
-    dataset and emits exact per-value counts ONLY inside those buckets
-    — a bucket spans exactly 256 distinct values, so every batch
-    contributes ≤ 256·|qs| partial rows and the driver picks the
-    global ranks from a tiny exact histogram. Discrete rank rule:
+def _selection_quantiles_multi(ds, to_ints, qs, to_weight=None):
+    """REUSABLE distributed selection — exact discrete quantiles of
+    int64-valued expressions over a Dataset WITHOUT a global sort.
+    ``to_ints`` maps metric name → ``batch: pa.Table -> np.int64
+    array``; ``qs`` maps q-name → fraction. All metrics share ONE
+    coarse and ONE fine pass (q_customer_rfm once re-streamed its
+    table six times — NOTES_r3 round-4 lead #6). Pass 1 reduces each
+    batch to coarse value-histogram partials (bucket = value >> 8, so
+    the driver merge is bounded by the VALUE RANGE / 256, never by row
+    count); the cumulative histogram locates the buckets containing
+    the target ranks. Pass 2 re-streams the dataset and emits exact
+    per-value counts ONLY inside those buckets — a bucket spans
+    exactly 256 distinct values, so every batch contributes
+    ≤ 256·|qs| partial rows per metric and the driver picks the global
+    ranks from a tiny exact histogram. Discrete rank rule:
     sorted[ceil(q·n)−1] == DuckDB quantile_disc. Returns
-    (dict name → int value, total row count).
-
-    WEIGHTED variant: pass ``to_weight(batch) -> np.int64 array`` —
-    histograms accumulate exact integer WEIGHT sums instead of counts
-    and the rule becomes "smallest value whose cumulative weight ≥
-    ceil(q·W)" (with unit weights this is exactly the rule above)."""
-    import math
-
-    import numpy as np
-
-    def coarse(b: pd.DataFrame) -> pd.DataFrame:
-        v = to_int(b)
-        if to_weight is None:
-            cb, n = np.unique(v >> 8, return_counts=True)
-            return pd.DataFrame({"cb": cb, "n": n.astype("int64")})
-        g = pd.DataFrame({"cb": v >> 8, "n": to_weight(b)}).groupby(
-            "cb", as_index=False)["n"].sum()
-        return g.astype({"cb": "int64", "n": "int64"})
-
-    hist = ds.map_batches(coarse, batch_format="pandas").to_pandas()
-    hist = _pysum_cols(hist, ["n"])
-    merged = hist.groupby("cb")["n"].sum().sort_index()
-    total = int(merged.sum())
-    cum = merged.cumsum()
-    ranks = {name: max(0, math.ceil(q * total) - 1)
-             for name, q in qs.items()}
-    # the coarse bucket holding each target rank (cum is 1-based counts)
-    targets = {
-        name: int(cum.index[int(np.searchsorted(cum.to_numpy(), r + 1))])
-        for name, r in ranks.items()
-    }
-    want = sorted(set(targets.values()))
-    before = {b: int(cum.loc[:b].iloc[-2]) if cum.index.get_loc(b) > 0 else 0
-              for b in want}
-    want_ref = ray.put(np.array(want, dtype=np.int64))
-
-    class FineCounts:
-        def __init__(self):
-            self.want = ray.get(want_ref)
-
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            v = to_int(b)
-            keep = np.isin(v >> 8, self.want)
-            if to_weight is None:
-                v, n = np.unique(v[keep], return_counts=True)
-                return pd.DataFrame({"vc": v, "n": n.astype("int64")})
-            g = pd.DataFrame(
-                {"vc": v[keep], "n": to_weight(b)[keep]}
-            ).groupby("vc", as_index=False)["n"].sum()
-            return g.astype({"vc": "int64", "n": "int64"})
-
-    fine = ds.map_batches(
-        FineCounts, batch_format="pandas", concurrency=(1, 4)
-    ).to_pandas()
-    fine = _pysum_cols(fine, ["n"])
-    fine = fine.groupby("vc")["n"].sum().sort_index()
-
-    out = {}
-    for name in qs:
-        b = targets[name]
-        in_b = fine[(fine.index.to_numpy() >> 8) == b]
-        offset = ranks[name] - before[b]
-        pos = int(np.searchsorted(in_b.cumsum().to_numpy(), offset + 1))
-        out[name] = int(in_b.index[pos])
-    return out, total
-
-
-def _selection_quantiles_multi(ds, to_ints, qs):
-    """Fused MULTI-metric variant of :func:`_selection_quantiles`: ONE
-    coarse pass + ONE fine pass for ALL metrics instead of two passes
-    per metric (q_customer_rfm previously re-streamed its per-customer
-    table six times — NOTES_r3 round-4 lead #6). ``to_ints`` maps
-    metric name → ``batch -> np.int64 array``; returns
     ``(dict metric → dict q-name → int value, total row count)``.
-    Identical rank rule per metric (discrete, == DuckDB
-    quantile_disc)."""
+
+    WEIGHTED variant: pass ``to_weight(batch) -> np.int64 array`` (one
+    weight per row, so each metric must map every row) — histograms
+    accumulate exact integer WEIGHT sums instead of counts and the
+    rule becomes "smallest value whose cumulative weight ≥ ceil(q·W)"
+    (with unit weights this is exactly the rule above)."""
     import math
 
     import numpy as np
 
     names = list(to_ints)
 
-    def coarse(b: pd.DataFrame) -> pd.DataFrame:
-        frames = []
+    def histogram(b: pa.Table, shift: int, want=None) -> pa.Table:
+        """``(m, k, w)``: metric index, value >> ``shift``, weight —
+        only values whose coarse bucket ``want[m]`` holds, if given."""
+        w = None if to_weight is None else to_weight(b)
+        cols = {"m": [], "k": [], "w": []}
         for i, nm in enumerate(names):
             v = to_ints[nm](b)
-            cb, n = np.unique(v >> 8, return_counts=True)
-            frames.append(pd.DataFrame({
-                "m": np.full(len(cb), i, dtype=np.int64),
-                "cb": cb, "n": n.astype("int64"),
-            }))
-        return pd.concat(frames, ignore_index=True)
+            wi = np.ones(len(v), np.int64) if w is None else w
+            if want is not None:
+                keep = np.isin(v >> 8, want[i])
+                v, wi = v[keep], wi[keep]
+            cols["m"].append(np.full(len(v), i, np.int64))
+            cols["k"].append(v >> shift)
+            cols["w"].append(wi.astype(np.int64))
+        return pa.table({c: np.concatenate(a) for c, a in cols.items()})
 
-    hist = ds.map_batches(coarse, batch_format="pandas").to_pandas()
-    hist = _pysum_cols(hist, ["n"])
-
+    hist = _group_sums(ds, ["m", "k"], lambda b: histogram(b, 8))
     ranks, targets, before, total = {}, {}, {}, 0
     for i, nm in enumerate(names):
-        merged = (hist[hist["m"] == i].groupby("cb")["n"].sum()
-                  .sort_index())
-        total = int(merged.sum())  # same dataset → same count per metric
-        cum = merged.cumsum()
+        cum = hist[hist["m"] == i].set_index("k")["w"].cumsum()
+        total = int(cum.iloc[-1])  # same dataset → same total per metric
         ranks[nm] = {q: max(0, math.ceil(f * total) - 1)
                      for q, f in qs.items()}
         targets[nm] = {
@@ -2957,35 +2689,13 @@ def _selection_quantiles_multi(ds, to_ints, qs):
             loc = cum.index.get_loc(b_)
             before[nm][b_] = int(cum.iloc[loc - 1]) if loc > 0 else 0
 
-    want_ref = ray.put({
-        i: np.array(sorted(set(targets[nm].values())), dtype=np.int64)
-        for i, nm in enumerate(names)
-    })
-
-    class FineCounts:
-        def __init__(self):
-            self.want = ray.get(want_ref)
-
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            frames = []
-            for i, nm in enumerate(names):
-                v = to_ints[nm](b)
-                v = v[np.isin(v >> 8, self.want[i])]
-                vc, n = np.unique(v, return_counts=True)
-                frames.append(pd.DataFrame({
-                    "m": np.full(len(vc), i, dtype=np.int64),
-                    "vc": vc, "n": n.astype("int64"),
-                }))
-            return pd.concat(frames, ignore_index=True)
-
-    fine = ds.map_batches(
-        FineCounts, batch_format="pandas", concurrency=(1, 4)
-    ).to_pandas()
-    fine = _pysum_cols(fine, ["n"])
+    want = {i: np.array(sorted(set(targets[nm].values())), dtype=np.int64)
+            for i, nm in enumerate(names)}
+    fine = _group_sums(ds, ["m", "k"], lambda b: histogram(b, 0, want))
 
     out = {}
     for i, nm in enumerate(names):
-        fm = fine[fine["m"] == i].groupby("vc")["n"].sum().sort_index()
+        fm = fine[fine["m"] == i].set_index("k")["w"]
         out[nm] = {}
         for q in qs:
             b_ = targets[nm][q]
@@ -2999,21 +2709,15 @@ def _selection_quantiles_multi(ds, to_ints, qs):
 def q_lineitem_price_quantiles(sf_dir: str):
     """GLOBAL order statistics WITHOUT a global sort — exact corpus-wide
     p25/median/p90 of l_extendedprice via the shared two-pass
-    distributed selection (:func:`_selection_quantiles`); the only
-    float op is the shared /100 back to currency."""
-    import numpy as np
-
+    distributed selection (:func:`_selection_quantiles_multi`); the
+    only float op is the shared /100 back to currency."""
     ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"), columns=["l_extendedprice"]
     )
-
-    def cents(b: pd.DataFrame):
-        return np.round(
-            b["l_extendedprice"].to_numpy() * 100).astype("int64")
-
-    vals, total = _selection_quantiles(
-        ds, cents, {"p25": 0.25, "median": 0.5, "p90": 0.9})
-    out = {name: float(v) / 100.0 for name, v in vals.items()}
+    vals, total = _selection_quantiles_multi(
+        ds, {"price": lambda b: _cents(b["l_extendedprice"]).to_numpy()},
+        {"p25": 0.25, "median": 0.5, "p90": 0.9})
+    out = {name: float(v) / 100.0 for name, v in vals["price"].items()}
     out["n_rows"] = total
     return pd.DataFrame([out])
 
@@ -3781,7 +3485,7 @@ def q_customer_rfm(sf_dir: str):
     custkey-hash exchange builds per-customer exact aggregates
     (materialized — one bounded row per customer); each metric's
     quartile thresholds come from the shared two-pass distributed
-    selection (:func:`_selection_quantiles`, no global sort); a final
+    selection (:func:`_selection_quantiles_multi`, no global sort); a final
     vectorized compare assigns the 1–4 scores."""
     import numpy as np
 
@@ -3800,7 +3504,7 @@ def q_customer_rfm(sf_dir: str):
     gmax_us = np.int64(pd.Timestamp(gmax).value // 1000)
 
     def part(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
+        cents = _cents(b["o_totalprice"].to_numpy()).to_numpy()
         d = pd.DataFrame({
             "c_custkey": b["o_custkey"].to_numpy(),
             "mx": b["o_orderdate"].to_numpy(),
@@ -3862,28 +3566,19 @@ def q_lineitem_weighted_quantiles(sf_dir: str):
     25/50/90% of all shipped UNITS (not line rows) fall — the
     volume-weighted percentile a pricing/mixture analysis needs.
     Same shared two-pass distributed selection, weighted variant
-    (:func:`_selection_quantiles` with integer l_quantity weights;
-    exact integer weight sums, no global sort); rule = smallest price
-    whose cumulative unit weight ≥ ceil(q·W), mirrored in the SQL
-    oracle's window cumsum."""
-    import numpy as np
-
+    (:func:`_selection_quantiles_multi` with integer l_quantity
+    weights; exact integer weight sums, no global sort); rule =
+    smallest price whose cumulative unit weight ≥ ceil(q·W), mirrored
+    in the SQL oracle's window cumsum."""
     ds = ray.data.read_parquet(
         _t(sf_dir, "lineitem"),
         columns=["l_extendedprice", "l_quantity"],
     )
-
-    def cents(b: pd.DataFrame):
-        return np.round(
-            b["l_extendedprice"].to_numpy() * 100).astype("int64")
-
-    def qty(b: pd.DataFrame):
-        return b["l_quantity"].to_numpy().astype("int64")
-
-    vals, total_w = _selection_quantiles(
-        ds, cents, {"wp25": 0.25, "wmedian": 0.5, "wp90": 0.9},
-        to_weight=qty)
-    out = {name: float(v) / 100.0 for name, v in vals.items()}
+    vals, total_w = _selection_quantiles_multi(
+        ds, {"price": lambda b: _cents(b["l_extendedprice"]).to_numpy()},
+        {"wp25": 0.25, "wmedian": 0.5, "wp90": 0.9},
+        to_weight=lambda b: b["l_quantity"].to_numpy().astype("int64"))
+    out = {name: float(v) / 100.0 for name, v in vals["price"].items()}
     out["total_units"] = total_w
     return pd.DataFrame([out])
 
@@ -3971,10 +3666,9 @@ def q_events_dau_mau(sf_dir: str):
         out["n"] = out["n"].astype("int64")
         return out
 
-    parts = bucket_group_map(
-        ds, key_buckets("user_id", auto_buckets(ds)), per_bucket).to_pandas()
-    parts = _pysum_cols(parts, ["n"])
-    agg = parts.groupby(["kind", "day"], as_index=False)["n"].sum()
+    agg = _group_sums(bucket_group_map(
+        ds, key_buckets("user_id", auto_buckets(ds)), per_bucket),
+        ["kind", "day"], lambda b: b)
     dau = agg.loc[agg["kind"] == 0, ["day", "n"]].rename(
         columns={"n": "dau"})
     mau = agg.loc[agg["kind"] == 1, ["day", "n"]].rename(
@@ -4009,18 +3703,15 @@ def q_docs_dup_rate_by_source(sf_dir: str):
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         keeper = g.groupby("text", sort=False)["doc_id"].transform("min")
         dup = (g["doc_id"].to_numpy() != keeper.to_numpy())
-        d = pd.DataFrame({"source": g["source"].to_numpy(),
-                          "n_docs": np.int64(1),
-                          "n_dups": dup.astype(np.int64)})
-        return d.groupby("source", as_index=False).sum()
+        return pd.DataFrame({"source": g["source"].to_numpy(),
+                             "n_dups": dup.astype(np.int64)})
 
-    parts = bucket_group_map(ds, key_buckets("text", nb), per_bucket).to_pandas()
-    parts = _pysum_cols(parts, ["n_docs", "n_dups"])
-    out = parts.groupby("source", as_index=False).sum()
+    out = _group_sums(bucket_group_map(ds, key_buckets("text", nb), per_bucket),
+                      ["source"], lambda b: b)
+    out.insert(1, "n_docs", out.pop("n_rows"))
     out["dup_rate"] = (out["n_dups"].to_numpy().astype(np.float64)
                        / out["n_docs"].to_numpy().astype(np.float64))
-    out = out.astype({"n_docs": "int64", "n_dups": "int64"})
-    return out.sort_values("source").reset_index(drop=True)
+    return out.astype({"n_docs": "int64", "n_dups": "int64"})
 
 
 def q_embeddings_norm_quantiles(sf_dir: str):
@@ -4034,14 +3725,12 @@ def q_embeddings_norm_quantiles(sf_dir: str):
     quantile_disc over the same quantization. Norms reuse the
     sequential-cumsum kernel that matches DuckDB's list_sum order."""
     import numpy as np
-    import pyarrow as pa
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "embeddings"), columns=["embedding"]
     )
 
-    def micro_norm(b) -> np.ndarray:
-        t = b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
+    def micro_norm(t: pa.Table) -> np.ndarray:
         emb = t.column("embedding").combine_chunks()
         offs = emb.offsets.to_numpy()
         lens = np.diff(offs)
@@ -4055,9 +3744,9 @@ def q_embeddings_norm_quantiles(sf_dir: str):
                             for s, e in zip(offs[:-1], offs[1:])])
         return np.floor(np.sqrt(tot) * 1e6).astype(np.int64)
 
-    vals, total = _selection_quantiles(
-        ds, micro_norm, {"qp25": 0.25, "qmedian": 0.5, "qp90": 0.9})
-    out = {name: float(v) / 1e6 for name, v in vals.items()}
+    vals, total = _selection_quantiles_multi(
+        ds, {"norm": micro_norm}, {"qp25": 0.25, "qmedian": 0.5, "qp90": 0.9})
+    out = {name: float(v) / 1e6 for name, v in vals["norm"].items()}
     out["n_vecs"] = total
     return pd.DataFrame([out])
 
@@ -4080,25 +3769,20 @@ def q_docs_language_mixture(sf_dir: str):
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
             src = batch["source"].to_numpy()
             out = super().__call__(batch)  # preserves row order
-            d = pd.DataFrame({"source": src,
-                              "lang_pred": out["lang_pred"].to_numpy()})
-            p = d.groupby(["source", "lang_pred"], as_index=False).size()
-            p["size"] = p["size"].astype("int64")
-            return p.rename(columns={"size": "n_docs"})
+            return pd.DataFrame({"source": src,
+                                 "lang_pred": out["lang_pred"].to_numpy()})
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "text", "source", "lang"]
     ).map_batches(
         WithSource(), batch_format="pandas", batch_size=2048,
     )
-    parts = _pysum_cols(ds.to_pandas(), ["n_docs"])
-    out = parts.groupby(["source", "lang_pred"], as_index=False).sum()
-    out["n_docs"] = out["n_docs"].astype("int64")
+    out = _group_sums(ds, ["source", "lang_pred"], lambda b: b)
+    out["n_docs"] = out.pop("n_rows").astype("int64")
     totals = out.groupby("source")["n_docs"].transform("sum")
     out["share"] = (out["n_docs"].to_numpy().astype(np.float64)
                     / totals.to_numpy().astype(np.float64))
-    return (out.sort_values(["source", "lang_pred"])
-            .reset_index(drop=True))
+    return out
 
 
 def q_customer_order_counts(sf_dir: str):
@@ -4183,9 +3867,7 @@ def q_orders_big_spenders(sf_dir: str):
 
     def add_cents(b: pa.Table) -> pa.Table:
         k = b.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = np.round(
-            b.column("o_totalprice").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        cents = _cents(b.column("o_totalprice")).to_numpy()
         return pa.table({
             "o_custkey": pa.array(k),
             "o_orderkey": b.column("o_orderkey"),
@@ -4651,12 +4333,8 @@ def q_lineitem_below_avg(sf_dir: str):
 
     def scale(b: pa.Table) -> pa.Table:
         k = b.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        q_u = np.round(
-            b.column("l_quantity").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        price_cents = np.round(
-            b.column("l_extendedprice").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        q_u = _cents(b.column("l_quantity")).to_numpy()
+        price_cents = _cents(b.column("l_extendedprice")).to_numpy()
         return pa.table({
             "l_partkey": pa.array(k),
             "q_u": pa.array(q_u), "price_cents": pa.array(price_cents),
@@ -4714,9 +4392,7 @@ def q_supplier_top_revenue(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         k = b.column("l_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        pr_c = np.round(
-            b.column("l_extendedprice").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        pr_c = _cents(b.column("l_extendedprice")).to_numpy()
         di_u = np.round(
             b.column("l_discount").to_numpy(zero_copy_only=False) * 10000
         ).astype(np.int64)
@@ -4762,7 +4438,7 @@ def q_orders_sorted(sf_dir: str):
     flagship run, NOTES r1). Reference n/a (engine-level op).
 
     Split points are EXACT quantiles of the sort key from the two-pass
-    selection machinery (:func:`_selection_quantiles` — bounded driver
+    selection machinery (:func:`_selection_quantiles_multi` — bounded driver
     state, no sampling skew, fully deterministic), so every range
     bucket holds ~1/n of the rows BY CONSTRUCTION even under heavy
     value skew. ONE range exchange co-locates each key range; buckets
@@ -4782,19 +4458,14 @@ def q_orders_sorted(sf_dir: str):
         _t(sf_dir, "orders"), columns=["o_orderkey", "o_totalprice"])
     nparts = auto_buckets(ds)
 
-    def cents(b: pd.DataFrame) -> "np.ndarray":
-        return np.round(
-            b["o_totalprice"].to_numpy() * 100).astype(np.int64)
-
     qs = {f"s{i:04d}": i / nparts for i in range(1, nparts)}
-    splits_d, _total = _selection_quantiles(ds, cents, qs)
+    splits_d = _selection_quantiles_multi(ds, {"price": lambda b: _cents(
+        b["o_totalprice"]).to_numpy()}, qs)[0]["price"]
     splits = np.asarray([splits_d[k] for k in sorted(splits_d)],
                         dtype=np.int64)
 
     def to_cents(b: pa.Table) -> pa.Table:
-        c = np.round(
-            b.column("o_totalprice").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        c = _cents(b.column("o_totalprice")).to_numpy()
         return pa.table({
             "o_orderkey": b.column("o_orderkey"),
             "price_cents": pa.array(c),
@@ -4839,36 +4510,25 @@ def q_events_hopping(sf_dir: str):
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_type", "ts", "value"])
 
-    def partial(b: pa.Table) -> pd.DataFrame:
+    def terms(b: pa.Table) -> pa.Table:
         ts_us = b.column("ts").cast(pa.int64()).to_numpy(
             zero_copy_only=False)
-        v_c = np.round(
-            b.column("value").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        et = np.asarray(b.column("event_type").to_pylist(), dtype=object)
         slot = (ts_us // HOP_US) * HOP_US
         starts = (np.repeat(slot, K)
                   - np.tile(np.arange(K, dtype=np.int64) * HOP_US,
                             len(slot)))
-        df = pd.DataFrame({
-            "event_type": np.repeat(et, K),
+        rep = pa.array(np.repeat(np.arange(len(b)), K))
+        return pa.table({
+            "event_type": b["event_type"].take(rep),
             "window_start_us": starts,
-            "value_c": np.repeat(v_c, K),
+            "value_c": _cents(b["value"]).take(rep),
         })
-        return df.groupby(["event_type", "window_start_us"],
-                          as_index=False).agg(
-            value_c=("value_c", "sum"), n_events=("value_c", "size"))
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    parts = _pysum_cols(parts, ["value_c"])
-    df = (parts.groupby(["event_type", "window_start_us"], as_index=False)
-          .agg(value_c=("value_c", "sum"), n_events=("n_events", "sum")))
+    df = _group_sums(ds, ["event_type", "window_start_us"], terms)
     df["window_start"] = pd.to_datetime(df.pop("window_start_us"), unit="us")
     df["sum_value"] = df.pop("value_c") / 100.0
-    df["n_events"] = df["n_events"].astype("int64")
-    return (df[["event_type", "window_start", "sum_value", "n_events"]]
-            .sort_values(["event_type", "window_start"])
-            .reset_index(drop=True))
+    df["n_events"] = df.pop("n_rows").astype("int64")
+    return df[["event_type", "window_start", "sum_value", "n_events"]]
 
 
 def q_lineitem_profile(sf_dir: str):
@@ -5201,7 +4861,7 @@ def q_embeddings_label_centroids(sf_dir: str):
     is tiny); no exchange at all."""
     import numpy as np
 
-    SCALE = np.float64(1 << 20)
+    SCALE = np.float64(EMB_GRID)
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "embeddings"), columns=["label", "embedding"])
@@ -5258,7 +4918,7 @@ def _nc_predictions(sf_dir: str) -> pd.DataFrame:
     classification is one map-only pass."""
     import numpy as np
 
-    SCALE = np.float64(1 << 20)
+    SCALE = np.float64(EMB_GRID)
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "embeddings"), columns=["vec_id", "label", "embedding"])
@@ -5780,8 +5440,8 @@ def q_nation_volume(sf_dir: str,
         and supplier-matched."""
         if len(b) == 0:
             return _li_empty()
-        pr_c = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        di_c = np.round(b["l_discount"].to_numpy() * 100).astype("int64")
+        pr_c = _cents(b["l_extendedprice"].to_numpy()).to_numpy()
+        di_c = _cents(b["l_discount"].to_numpy()).to_numpy()
         return pd.DataFrame({
             "l_orderkey": b["l_orderkey"].to_numpy(dtype=np.int64),
             "supp_nation": supp_nation,
@@ -5867,24 +5527,18 @@ def q_nation_volume(sf_dir: str,
 
     joined = hash_join(li, o_nat, left_on="l_orderkey", right_on="o_orderkey")
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["supp_nation"] != df["cust_nation"]]
-        return df.groupby(["supp_nation", "cust_nation", "l_year"],
-                          as_index=False, sort=False)["rev_u"].sum()
-
-    parts = joined.map_batches(partial, batch_format="pandas").to_pandas()
-    if len(parts) == 0:  # all-empty to_pandas loses columns (NOTES_r2)
+    keys = ["supp_nation", "cust_nation", "l_year"]
+    out = _group_sums(joined, keys, lambda b: b.filter(pc.not_equal(
+        b["supp_nation"], b["cust_nation"])).select(keys + ["rev_u"]))
+    if len(out) == 0:
         return pd.DataFrame({
             "supp_nation": pd.Series([], dtype=object),
             "cust_nation": pd.Series([], dtype=object),
             "l_year": pd.Series([], dtype="int64"),
             "revenue": pd.Series([], dtype="float64"),
         })
-    out = _pysum_cols(parts, ["rev_u"]).groupby(
-        ["supp_nation", "cust_nation", "l_year"], as_index=False)["rev_u"].sum()
     out["revenue"] = [int(v) / 10000.0 for v in out.pop("rev_u")]
-    return (out.sort_values(["supp_nation", "cust_nation", "l_year"])
-            .reset_index(drop=True))
+    return out.drop(columns="n_rows")
 
 
 def q_promo_revenue(sf_dir: str,
@@ -5919,8 +5573,8 @@ def q_promo_revenue(sf_dir: str,
         part_bytes = None
 
     def _rev(b: pd.DataFrame) -> np.ndarray:
-        pr_c = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        di_c = np.round(b["l_discount"].to_numpy() * 100).astype("int64")
+        pr_c = _cents(b["l_extendedprice"].to_numpy()).to_numpy()
+        di_c = _cents(b["l_discount"].to_numpy()).to_numpy()
         return pr_c * (100 - di_c)
 
     if part_bytes is not None and part_bytes <= broadcast_threshold_bytes:
@@ -6029,8 +5683,8 @@ def q_lineitem_disjunctive(sf_dir: str,
             keep |= ((brand == br) & (size >= slo) & (size <= shi)
                      & (qty >= qlo) & (qty <= qhi))
         m = m[keep]
-        pr_c = np.round(m["l_extendedprice"].to_numpy() * 100).astype("int64")
-        di_c = np.round(m["l_discount"].to_numpy() * 100).astype("int64")
+        pr_c = _cents(m["l_extendedprice"].to_numpy()).to_numpy()
+        di_c = _cents(m["l_discount"].to_numpy()).to_numpy()
         return pd.DataFrame({
             "rev_u": [int((pr_c * (100 - di_c)).sum())],
             "n_rows": [int(len(m))],
@@ -6163,13 +5817,11 @@ def q_customer_idle_balance(sf_dir: str):
     (avg = sum/count, a float whose boundary rounding could flip rows),
     each batch tests ``acctbal_cents * count > sum_cents`` in int64 —
     the oracle mirrors the same multiplied comparison in DECIMAL."""
-    import numpy as np
-
     cust_path = _t(sf_dir, "customer")
 
     # pass 1: exact global avg of positive balances (cents partials)
     def avg_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = np.round(b["c_acctbal"].to_numpy() * 100).astype("int64")
+        c = _cents(b["c_acctbal"].to_numpy()).to_numpy()
         c = c[c > 0]
         return pd.DataFrame({"s": [int(c.sum())], "n": [int(len(c))]})
 
@@ -6198,35 +5850,28 @@ def q_customer_idle_balance(sf_dir: str):
         cust_path, columns=["c_custkey", "c_nationkey", "c_acctbal"]
     )
 
-    def rich_partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["c_acctbal"].to_numpy() * 100).astype("int64")
+    def rich(b: pa.Table) -> pa.Table:
+        cents = _cents(b["c_acctbal"]).to_numpy()
         rich = cents * n_pos > sum_c              # integer-exact > avg
-        b = b[rich]
-        cents = cents[rich]
-        return pd.DataFrame({
-            "c_nationkey": b["c_nationkey"].to_numpy(dtype=np.int64),
-            "bal_c": cents,
-        }).groupby("c_nationkey", as_index=False).agg(
-            numcust=("bal_c", "size"), bal_c=("bal_c", "sum"))
+        return pa.table({
+            "c_nationkey": pc.cast(b["c_nationkey"], pa.int64()).filter(
+                pa.array(rich)),
+            "bal_c": cents[rich],
+        })
 
-    parts = (
+    out = _group_sums(
         gated_keyset_filter(cust, active, "c_custkey", "o_custkey",
-                            how="anti", size_hint_ds=cust)
-        .map_batches(rich_partial, batch_format="pandas")
-        .to_pandas()
-    )
-    if len(parts) == 0:  # all-empty to_pandas loses columns (NOTES_r2)
+                            how="anti", size_hint_ds=cust),
+        ["c_nationkey"], rich)
+    if len(out) == 0:  # all-empty to_pandas loses columns (NOTES_r2)
         return pd.DataFrame({
             "c_nationkey": pd.Series([], dtype="int64"),
             "numcust": pd.Series([], dtype="int64"),
             "totacctbal": pd.Series([], dtype="float64"),
         })
-    out = _pysum_cols(parts, ["bal_c"]).groupby(
-        "c_nationkey", as_index=False).agg(
-        numcust=("numcust", "sum"), bal_c=("bal_c", "sum"))
-    out["numcust"] = out["numcust"].astype("int64")
+    out["numcust"] = out.pop("n_rows").astype("int64")
     out["totacctbal"] = [int(v) / 100.0 for v in out.pop("bal_c")]
-    return out.sort_values("c_nationkey").reset_index(drop=True)
+    return out
 
 
 def _orders_ship_exists(sf_dir: str, how: str) -> pd.DataFrame:
@@ -6237,8 +5882,6 @@ def _orders_ship_exists(sf_dir: str, how: str) -> pd.DataFrame:
     when the right side's key set is itself too large to broadcast.
     Only the right KEY COLUMN crosses the exchange. The grouped count +
     exact-cents sum collapses per batch after the filter."""
-    import numpy as np
-
     from .joins import hash_join
 
     cutoff = pd.Timestamp("2000-06-01")
@@ -6259,27 +5902,18 @@ def _orders_ship_exists(sf_dir: str, how: str) -> pd.DataFrame:
     filtered = hash_join(orders, recent_li, left_on="o_orderkey",
                          right_on="l_orderkey", how=how)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return pd.DataFrame({
-            "o_orderpriority": b["o_orderpriority"],
-            "n_orders": np.ones(len(b), dtype=np.int64),
-            "total_c": cents,
-        }).groupby("o_orderpriority", as_index=False).sum()
-
-    parts = filtered.map_batches(partial, batch_format="pandas").to_pandas()
-    if len(parts) == 0:
+    out = _group_sums(filtered, ["o_orderpriority"], lambda b: pa.table({
+        "o_orderpriority": b["o_orderpriority"],
+        "total_c": _cents(b["o_totalprice"])}))
+    if len(out) == 0:
         return pd.DataFrame({
             "o_orderpriority": pd.Series([], dtype=object),
             "n_orders": pd.Series([], dtype="int64"),
             "total_price": pd.Series([], dtype="float64"),
         })
-    out = _pysum_cols(parts, ["total_c"]).groupby(
-        "o_orderpriority", as_index=False).agg(
-        n_orders=("n_orders", "sum"), total_c=("total_c", "sum"))
-    out["n_orders"] = out["n_orders"].astype("int64")
+    out["n_orders"] = out.pop("n_rows").astype("int64")
     out["total_price"] = [int(v) / 100.0 for v in out.pop("total_c")]
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
+    return out
 
 
 def q_orders_semi_shuffle(sf_dir: str):
@@ -6330,8 +5964,8 @@ def q_nation_market_share(sf_dir: str,
         supp_bytes = None
 
     def _li_partial(b: pd.DataFrame, is_n1: np.ndarray) -> pd.DataFrame:
-        pr_c = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        di_c = np.round(b["l_discount"].to_numpy() * 100).astype("int64")
+        pr_c = _cents(b["l_extendedprice"].to_numpy()).to_numpy()
+        di_c = _cents(b["l_discount"].to_numpy()).to_numpy()
         rev = pr_c * (100 - di_c)
         return pd.DataFrame({
             "l_orderkey": b["l_orderkey"].to_numpy(dtype=np.int64),
@@ -6406,21 +6040,16 @@ def q_nation_market_share(sf_dir: str,
     joined = hash_join(li, o_r0, left_on="l_orderkey",
                        right_on="o_orderkey")
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_year", as_index=False)[
-            ["total_u", "nation_u"]].sum()
-
-    parts = joined.map_batches(partial, batch_format="pandas").to_pandas()
-    if len(parts) == 0:
+    out = _group_sums(joined, ["o_year"],
+                      lambda b: b.select(["o_year", "total_u", "nation_u"]))
+    if len(out) == 0:
         return pd.DataFrame({
             "o_year": pd.Series([], dtype="int64"),
             "mkt_share": pd.Series([], dtype="float64"),
         })
-    out = _pysum_cols(parts, ["total_u", "nation_u"]).groupby(
-        "o_year", as_index=False)[["total_u", "nation_u"]].sum()
     out["mkt_share"] = [float(a) / float(b) for a, b
-                        in zip(out.pop("nation_u"), out.pop("total_u"))]
-    return out.sort_values("o_year").reset_index(drop=True)
+                        in zip(out["nation_u"], out["total_u"])]
+    return out[["o_year", "mkt_share"]]
 
 
 def q_events_new_users(sf_dir: str):
@@ -6546,7 +6175,7 @@ def q_nation_top_customers(sf_dir: str):
     import numpy as np
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["c_acctbal"].to_numpy() * 100).astype("int64")
+        cents = _cents(b["c_acctbal"].to_numpy()).to_numpy()
         d = pd.DataFrame({
             "c_nationkey": b["c_nationkey"].to_numpy(dtype=np.int64),
             "c_name": b["c_name"],
@@ -6662,7 +6291,7 @@ def q_customer_revenue_deciles(sf_dir: str):
     nb = auto_buckets(orders)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
+        cents = _cents(b["o_totalprice"].to_numpy()).to_numpy()
         g = pd.DataFrame({
             "o_custkey": b["o_custkey"].to_numpy(dtype=np.int64),
             "rev_c": cents,
@@ -6702,13 +6331,10 @@ def q_customer_revenue_deciles(sf_dir: str):
         # bucket 0 = highest revenue (rank order is rev DESC)
         return ((np.int64(hi) - rev) * np.int64(B)) // np.int64(span)
 
-    counts = percust.map_batches(
-        lambda df: pd.DataFrame({"vb": vbucket(df["rev_c"].to_numpy())})
-        .groupby("vb", as_index=False).size().rename(columns={"size": "n"}),
-        batch_format="pandas",
-    ).to_pandas()
+    counts = _group_sums(percust, ["vb"], lambda b: pa.table(
+        {"vb": vbucket(b["rev_c"].to_numpy())}))
     per_vb = [0] * B
-    for vb, n in zip(counts["vb"], counts["n"]):
+    for vb, n in zip(counts["vb"], counts["n_rows"]):
         per_vb[int(vb)] += int(n)
     offsets = np.cumsum([0] + per_vb[:-1]).astype(np.int64)
 
@@ -6718,20 +6344,16 @@ def q_customer_revenue_deciles(sf_dir: str):
         vb = int(vbucket(g["rev_c"].to_numpy()[:1])[0])
         rank0 = offsets[vb] + np.arange(len(g), dtype=np.int64)
         dec = (rank0 * 10) // np.int64(n_total)
-        return pd.DataFrame({"decile": dec, "rev_c": g["rev_c"]}).groupby(
-            "decile", as_index=False).agg(
-            n_custs=("rev_c", "size"), rev_c=("rev_c", "sum"))
+        return pd.DataFrame({"decile": dec, "rev_c": g["rev_c"]})
 
-    parts = bucket_group_map(
+    out = _group_sums(bucket_group_map(
         percust, lambda t: vbucket(t.column("rev_c").to_numpy()), rank_bucket
-    ).to_pandas()
-    out = _pysum_cols(parts, ["rev_c"]).groupby("decile", as_index=False).agg(
-        n_custs=("n_custs", "sum"), rev_c=("rev_c", "sum"))
-    out["n_custs"] = out["n_custs"].astype("int64")
+    ), ["decile"], lambda b: b)
+    out["n_custs"] = out.pop("n_rows").astype("int64")
     rev = [int(v) for v in out.pop("rev_c")]
     out["revenue"] = [v / 100.0 for v in rev]
     out["rev_share"] = [float(v) / float(rev_total) for v in rev]
-    return out.sort_values("decile").reset_index(drop=True)
+    return out
 
 
 def q_orders_yoy(sf_dir: str):
@@ -6741,24 +6363,13 @@ def q_orders_yoy(sf_dir: str):
     which silently mispairs across missing months — and ONE mirrored
     float expression per row. Months without a prior-year counterpart
     are omitted (inner-match semantics, mirrored by the oracle)."""
-    import numpy as np
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return pd.DataFrame({
-            "o_year": b["o_orderdate"].dt.year.astype("int64"),
-            "o_month": b["o_orderdate"].dt.month.astype("int64"),
-            "rev_c": cents,
-        }).groupby(["o_year", "o_month"], as_index=False)["rev_c"].sum()
-
-    parts = (
+    m = _group_sums(
         ray.data.read_parquet(_t(sf_dir, "orders"),
-                              columns=["o_orderdate", "o_totalprice"])
-        .map_batches(partial, batch_format="pandas")
-        .to_pandas()
-    )
-    m = _pysum_cols(parts, ["rev_c"]).groupby(
-        ["o_year", "o_month"], as_index=False)["rev_c"].sum()
+                              columns=["o_orderdate", "o_totalprice"]),
+        ["o_year", "o_month"], lambda b: pa.table({
+            "o_year": pc.year(b["o_orderdate"]),
+            "o_month": pc.month(b["o_orderdate"]),
+            "rev_c": _cents(b["o_totalprice"])}))
     prev = m.copy()
     prev["o_year"] = prev["o_year"] + 1
     j = m.merge(prev, on=["o_year", "o_month"], how="inner",
@@ -6790,8 +6401,8 @@ def q_customer_returns(sf_dir: str):
 
     def li_partial(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b["l_returnflag"] == "R"]
-        pr_c = np.round(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        di_c = np.round(b["l_discount"].to_numpy() * 100).astype("int64")
+        pr_c = _cents(b["l_extendedprice"].to_numpy()).to_numpy()
+        di_c = _cents(b["l_discount"].to_numpy()).to_numpy()
         return pd.DataFrame({
             "l_orderkey": b["l_orderkey"].to_numpy(dtype=np.int64),
             "rev_u": pr_c * (100 - di_c),
@@ -7064,8 +6675,7 @@ def q_events_attribution(sf_dir: str):
         valid = ((prev_us.to_numpy() == g["user_id"].to_numpy())
                  & (gap <= tol_us))
         keep = (g["event_type"] == "purchase").to_numpy() & valid
-        vc = np.rint(g["value"].to_numpy(dtype=np.float64)[keep]
-                     * 100).astype(np.int64)
+        vc = _cents(g["value"].to_numpy(dtype=np.float64)[keep]).to_numpy()
         return pd.DataFrame({
             "event_id": g.loc[keep, "event_id"].to_numpy(dtype=np.int64),
             "user_id": g.loc[keep, "user_id"].to_numpy(dtype=np.int64),
@@ -7211,16 +6821,16 @@ def q_region_nation_share(sf_dir: str):
     dimension attaches through the size-aware join planner — broadcast
     only while parquet metadata proves it under 64 MB, bucketed shuffle
     beyond — instead of a driver-built per-customer array that grows
-    with scale; only the BOUNDED nation table (25 rows) broadcasts as a
-    dict into the partial."""
+    with scale; only the BOUNDED nation table (25 rows) rides into the
+    partial, as a nation→region lookup array in its closure."""
     import numpy as np
 
     from .joins import join
 
     nation = ray.data.read_parquet(_t(sf_dir, "nation")).to_pandas()
-    nat_region = dict(zip(nation["n_nationkey"].astype(int),
-                          nation["n_regionkey"].astype(int)))
-    nr_ref = ray.put(nat_region)
+    # vectorized nation→region lookup over the BOUNDED key range
+    lut = np.zeros(int(nation["n_nationkey"].max()) + 1, dtype=np.int64)
+    lut[nation["n_nationkey"].to_numpy()] = nation["n_regionkey"].to_numpy()
 
     cust = ray.data.read_parquet(
         _t(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"]
@@ -7229,30 +6839,14 @@ def q_region_nation_share(sf_dir: str):
         _t(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
     )
 
-    class Partial:
-        def __init__(self):
-            nr = ray.get(nr_ref)
-            # vectorized nation→region lookup over the BOUNDED key range
-            self.lut = np.zeros(max(nr) + 1, dtype=np.int64)
-            for k, v in nr.items():
-                self.lut[k] = v
+    def terms(b: pa.Table) -> pa.Table:
+        nat = b["c_nationkey"].to_numpy().astype(np.int64)
+        return pa.table({"r": lut[nat], "n": nat,
+                         "rev_c": _cents(b["o_totalprice"])})
 
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            cents = np.round(b["o_totalprice"].to_numpy()
-                             * 100).astype("int64")
-            nat = b["c_nationkey"].to_numpy(dtype=np.int64)
-            return pd.DataFrame({
-                "r": self.lut[nat],
-                "n": nat,
-                "rev_c": cents,
-            }).groupby(["r", "n"], as_index=False)["rev_c"].sum()
-
-    parts = (
-        join(orders, cust, "o_custkey", "c_custkey")
-        .map_batches(Partial, batch_format="pandas", concurrency=(1, 4))
-        .to_pandas()
-    )
-    if len(parts) == 0:
+    fine = _group_sums(join(orders, cust, "o_custkey", "c_custkey"),
+                       ["r", "n"], terms)
+    if len(fine) == 0:
         return pd.DataFrame({
             "n_regionkey": pd.Series([], dtype="int64"),
             "n_nationkey": pd.Series([], dtype="int64"),
@@ -7260,8 +6854,6 @@ def q_region_nation_share(sf_dir: str):
             "share_in_region": pd.Series([], dtype="float64"),
             "region_share": pd.Series([], dtype="float64"),
         })
-    fine = _pysum_cols(parts, ["rev_c"]).groupby(
-        ["r", "n"], as_index=False)["rev_c"].sum()
     region_tot = {r: sum(int(v) for v in g["rev_c"])
                   for r, g in fine.groupby("r")}
     total = sum(region_tot.values())
@@ -7274,8 +6866,7 @@ def q_region_nation_share(sf_dir: str):
         "region_share": [float(region_tot[r]) / float(total)
                          for r in fine["r"]],
     })
-    return (out.sort_values(["n_regionkey", "n_nationkey"])
-            .reset_index(drop=True))
+    return out
 
 
 def q_events_anomaly(sf_dir: str):
@@ -7305,9 +6896,7 @@ def q_events_anomaly(sf_dir: str):
     )
 
     def hist_partial(batch: pa.Table) -> pd.DataFrame:
-        c = np.round(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100
-        ).astype("int64")
+        c = _cents(batch.column("value")).to_numpy()
         t = pd.DataFrame({
             "event_type": batch.column("event_type").to_pylist(), "c": c,
         })
@@ -7343,9 +6932,7 @@ def q_events_anomaly(sf_dir: str):
 
     def flag(batch: pa.Table) -> pd.DataFrame:
         et = batch.column("event_type").to_pylist()
-        c = np.round(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100
-        ).astype("int64")
+        c = _cents(batch.column("value")).to_numpy()
         m2 = np.array([thresholds[e][0] for e in et], dtype=np.int64)
         mad4 = np.array([thresholds[e][1] for e in et], dtype=np.int64)
         dev2 = np.abs(2 * c - m2)
@@ -7391,9 +6978,7 @@ def q_events_resample(sf_dir: str):
         t = pa.table({
             "user_id": batch.column("user_id"),
             "hour": pc.floor_temporal(batch.column("ts"), unit="hour"),
-            "cents": pc.cast(
-                pc.round(pc.multiply(batch.column("value"),
-                                     pa.scalar(100.0))), pa.int64()),
+            "cents": _cents(batch.column("value")),
         }).to_pandas()
         g = t.groupby(["user_id", "hour"], as_index=False).agg(
             n_events=("cents", "size"), cents=("cents", "sum"))
@@ -8516,7 +8101,7 @@ def q_events_drawdown(sf_dir: str):
 
     def drawdown(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
-        cents = np.round(g["value"].to_numpy() * 100).astype("int64")
+        cents = _cents(g["value"].to_numpy()).to_numpy()
         peak = pd.Series(cents, index=g.index).groupby(g["user_id"]).cummax()
         dd = peak.to_numpy() - cents
         out = pd.DataFrame({
@@ -8725,22 +8310,19 @@ def q_docs_char_entropy(sf_dir: str):
     ds = ray.data.read_parquet(
         _t(sf_dir, "documents"), columns=["source", "text"])
 
-    def counts(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["text"].astype(str)
+    def counts(b: pa.Table) -> pa.Table:
+        t = b["text"].to_pandas().astype(str)
         alpha = t.str.count(r"[A-Za-z]").to_numpy(np.int64)
         digit = t.str.count(r"[0-9]").to_numpy(np.int64)
         ws = t.str.count(r"[ \t\n\r\f\v]").to_numpy(np.int64)
         n = t.str.len().to_numpy(np.int64)
-        df = pd.DataFrame({
-            "source": b["source"].to_numpy(),
+        return pa.table({
+            "source": b["source"],
             "c_alpha": alpha, "c_digit": digit, "c_ws": ws,
             "c_other": n - alpha - digit - ws,
         })
-        return df.groupby("source", as_index=False).sum()
 
-    parts = ds.map_batches(counts, batch_format="pandas").to_pandas()
-    agg = parts.groupby("source", as_index=False).sum()
-    agg = _pysum_cols(agg, ["c_alpha", "c_digit", "c_ws", "c_other"])
+    agg = _group_sums(ds, ["source"], counts)
 
     def entropy(row) -> float:
         cs = [int(row["c_alpha"]), int(row["c_digit"]),
@@ -8790,7 +8372,7 @@ def q_events_cusum(sf_dir: str, k_cents: int = 5500, h_cents: int = 30000):
 
     def cusum(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
-        d = np.round(g["value"].to_numpy() * 100).astype("int64") - k
+        d = _cents(g["value"].to_numpy()).to_numpy() - k
         by_user = pd.Series(d, index=g.index).groupby(g["user_id"])
         p = by_user.cumsum().to_numpy()
         run_min = (pd.Series(p, index=g.index).groupby(g["user_id"])
@@ -8831,7 +8413,7 @@ def q_events_seasonal_naive(sf_dir: str, season_days: int = 7):
     def day_partial(b: pd.DataFrame) -> pd.DataFrame:
         day = (b["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
                // us_per_day)
-        cents = np.round(b["value"].to_numpy() * 100).astype("int64")
+        cents = _cents(b["value"].to_numpy()).to_numpy()
         out = (pd.DataFrame({"day": day, "cents": cents})
                .groupby("day", as_index=False).sum())
         return out
@@ -8862,43 +8444,33 @@ def q_orders_grouping_sets(sf_dir: str):
     engine-level relational op.
 
     Exactness: exact int64-cents per-batch partials for all three
-    grains at once (tagged-union rows), Python-int driver merge
-    (_pysum_cols), one /100.0 per output row.
+    grains at once (each row once per grouping set), Python-int driver
+    merge (:func:`_group_sums`), one /100.0 per output row.
 
     Scale shape: no exchange — both grouping columns are bounded
     dimensions, so every batch emits ≤|status|+|priority|+1 partial
     rows and the driver merges a dimension-bounded table."""
-    import numpy as np
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "orders"),
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        frames = []
-        for kind, col in (("status", "o_orderstatus"),
-                          ("priority", "o_orderpriority")):
-            g = (pd.DataFrame({"key": b[col].to_numpy(), "c": cents})
-                 .groupby("key", as_index=False)
-                 .agg(c=("c", "sum"), n=("c", "size")))
-            g.insert(0, "kind", kind)
-            frames.append(g)
-        frames.append(pd.DataFrame({
-            "kind": ["all"], "key": [""],
-            "c": [int(cents.sum())], "n": [len(b)]}))
-        return pd.concat(frames, ignore_index=True)
+    def terms(b: pa.Table) -> pa.Table:
+        """Each row once per grouping set: (kind, key, cents)."""
+        n, c = len(b), _cents(b["o_totalprice"])
+        return pa.table({
+            "kind": ["status"] * n + ["priority"] * n + ["all"] * n,
+            "key": pa.chunked_array(b["o_orderstatus"].chunks
+                                    + b["o_orderpriority"].chunks
+                                    + [pa.array([""] * n)]),
+            "c": pa.chunked_array(c.chunks * 3)})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    agg = (parts.groupby(["kind", "key"], as_index=False)
-           .agg(c=("c", "sum"), n=("n", "sum")))
-    agg = _pysum_cols(agg, ["c"])
+    agg = _group_sums(ds, ["kind", "key"], terms)
     return pd.DataFrame({
         "kind": agg["kind"],
         "key": agg["key"],
         "total_price": [int(v) / 100.0 for v in agg["c"]],
-        "n_orders": agg["n"].astype("int64"),
-    }).sort_values(["kind", "key"]).reset_index(drop=True)
+        "n_orders": agg["n_rows"].astype("int64"),
+    })
 
 
 def q_part_skew_kurt(sf_dir: str):
@@ -8924,36 +8496,27 @@ def q_part_skew_kurt(sf_dir: str):
     doubles bitwise-equal (sqrt is IEEE-exact; no float accumulation)."""
     import math
 
-    import numpy as np
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "part"), columns=["p_brand", "p_retailprice"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = np.round(b["p_retailprice"].to_numpy() * 100).astype("int64")
+    def terms(b: pa.Table) -> pa.Table:
+        c = _cents(b["p_retailprice"]).to_numpy()
         c2 = c * c
         a, lo = c2 >> 17, c2 & ((1 << 17) - 1)
-        d = pd.DataFrame({
+        return pa.table({
             "p_brand": b["p_brand"],
             "s1": c, "s2": c2,
             "s3h": a * c, "s3l": lo * c,
             "s4h": a * a, "s4m": a * lo, "s4l": lo * lo,
         })
-        out = d.groupby("p_brand", as_index=False).sum()
-        out["n_rows"] = (
-            d.groupby("p_brand", as_index=False)
-            .size()["size"].to_numpy().astype("int64"))
-        return out
 
-    cols = ["s1", "s2", "s3h", "s3l", "s4h", "s4m", "s4l", "n_rows"]
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, cols)
     rows = []
-    for brand, g in parts.groupby("p_brand"):
-        n = sum(g["n_rows"])
-        s1, s2 = sum(g["s1"]), sum(g["s2"])
-        s3 = (sum(g["s3h"]) << 17) + sum(g["s3l"])
-        s4 = (sum(g["s4h"]) << 34) + (sum(g["s4m"]) << 18) + sum(g["s4l"])
+    for g in _group_sums(ds, ["p_brand"], terms).itertuples(index=False):
+        brand = g.p_brand
+        n, s1, s2, s3h, s3l, s4h, s4m, s4l = map(int, (
+            g.n_rows, g.s1, g.s2, g.s3h, g.s3l, g.s4h, g.s4m, g.s4l))
+        s3 = (s3h << 17) + s3l
+        s4 = (s4h << 34) + (s4m << 18) + s4l
         m2 = n * s2 - s1 * s1
         m3 = n * n * s3 - 3 * n * s1 * s2 + 2 * s1 ** 3
         m4 = (n ** 3 * s4 - 4 * n * n * s1 * s3
@@ -8992,24 +8555,17 @@ def q_events_trending(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["ts", "event_type"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        day = (b["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-               // us_per_day)
-        return (pd.DataFrame({"day": day, "event_type": b["event_type"]})
-                .groupby(["day", "event_type"], as_index=False)
-                .size().rename(columns={"size": "n"}))
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    m = parts.groupby(["day", "event_type"], as_index=False).agg(
-        n=("n", "sum"))
-    m = _pysum_cols(m, ["n"])
+    m = _group_sums(ds, ["day", "event_type"], lambda b: pa.table({
+        "day": b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+        // us_per_day,
+        "event_type": b["event_type"]}))
     days = np.sort(m["day"].unique())          # observed-day spine
     types = np.sort(m["event_type"].unique())
     # dense counts matrix (days × types), trailing sum over day VALUES
     cnt = np.zeros((len(days), len(types)), dtype=np.int64)
     di = np.searchsorted(days, m["day"].to_numpy())
     ti = np.searchsorted(types, m["event_type"].to_numpy())
-    cnt[di, ti] = [int(v) for v in m["n"]]
+    cnt[di, ti] = [int(v) for v in m["n_rows"]]
     csum = np.vstack([np.zeros((1, len(types)), dtype=np.int64),
                       np.cumsum(cnt, axis=0)])
     # for day d: sum over rows with day value in [d-6, d]
@@ -9052,7 +8608,7 @@ def q_orders_checksum(sf_dir: str):
         dt = b["o_orderdate"].to_numpy(dtype="datetime64[M]")
         month = (dt.astype(np.int64) // 12 + 1970) * 100 + (
             dt.astype(np.int64) % 12 + 1)
-        vc = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
+        vc = _cents(b["o_totalprice"].to_numpy()).to_numpy()
         keys = b["o_orderkey"].to_numpy(dtype=np.int64)
         st = b["o_orderstatus"].to_numpy()
         sig = np.fromiter(
@@ -9143,7 +8699,7 @@ def q_customer_pareto(sf_dir: str):
     nb = auto_buckets(ds)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
+        cents = _cents(b["o_totalprice"].to_numpy()).to_numpy()
         g = (pd.DataFrame({"c_custkey": b["o_custkey"].to_numpy(
             dtype=np.int64), "rev_c": cents})
             .groupby("c_custkey", as_index=False)["rev_c"].sum())
@@ -9159,17 +8715,12 @@ def q_customer_pareto(sf_dir: str):
 
     # band scalars: band = bit_length(rev_c); higher band ⇒ strictly
     # larger revenue, so bands are globally ordered
-    def band_partial(b: pd.DataFrame) -> pd.DataFrame:
-        rev = b["rev_c"].to_numpy(dtype=np.int64)
-        return (pd.DataFrame({"band": _bitlen64(rev), "rev_c": rev})
-                .groupby("band", as_index=False)
-                .agg(cnt=("rev_c", "size"), s=("rev_c", "sum")))
+    def band_terms(b: pa.Table) -> pa.Table:
+        rev = b["rev_c"].to_numpy().astype(np.int64)
+        return pa.table({"band": _bitlen64(rev), "s": rev})
 
-    bands = cust.map_batches(band_partial,
-                             batch_format="pandas").to_pandas()
-    bands = _pysum_cols(bands, ["s"])
-    bmerged = (bands.groupby("band", as_index=False)
-               .agg(cnt=("cnt", "sum"), s=("s", "sum")))
+    bmerged = _group_sums(cust, ["band"], band_terms).rename(
+        columns={"n_rows": "cnt"})
     total = int(sum(int(v) for v in bmerged["s"]))
     # offsets from strictly heavier bands (descending band order)
     bm = bmerged.sort_values("band", ascending=False)
@@ -9222,18 +8773,10 @@ def q_events_chisq(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["ts", "event_type"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        days = (b["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-                // us_per_day)
-        dow = (days + 4) % 7
-        return (pd.DataFrame({"event_type": b["event_type"], "dow": dow})
-                .groupby(["event_type", "dow"], as_index=False)
-                .size().rename(columns={"size": "o"}))
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cells = (parts.groupby(["event_type", "dow"], as_index=False)
-             .agg(o=("o", "sum")))
-    cells = _pysum_cols(cells, ["o"])
+    cells = _group_sums(ds, ["event_type", "dow"], lambda b: pa.table({
+        "event_type": b["event_type"],
+        "dow": (b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+                // us_per_day + 4) % 7})).rename(columns={"n_rows": "o"})
     n = sum(int(v) for v in cells["o"])
     r = {k: sum(int(v) for v in g["o"])
          for k, g in cells.groupby("event_type")}
@@ -9245,7 +8788,7 @@ def q_events_chisq(sf_dir: str):
         num = (o * n - ri * cj) ** 2
         den = n * ri * cj
         term = _h2d(num) / _h2d(den)
-        scaled += math.floor(term * 1048576.0)
+        scaled += math.floor(term * float(STAT_SCALE))
     k_types, m_dows = len(r), len(c)
     return pd.DataFrame({
         "n_rows": pd.Series([n], dtype="int64"),
@@ -9270,21 +8813,16 @@ def q_orders_benford(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "orders"),
                                columns=["o_totalprice"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
+    def terms(b: pa.Table) -> pa.Table:
         # Benford applies to nonzero MAGNITUDES: zero totals carry no
         # first significant digit and negatives contribute |v| —
         # mirrored by the oracle's ABS + <> 0 filter
-        vc = np.abs(vc)
+        vc = np.abs(_cents(b["o_totalprice"]).to_numpy())
         vc = vc[vc > 0]
-        first = vc.astype("U20").astype("U1").astype(np.int64)
-        return (pd.DataFrame({"digit": first})
-                .groupby("digit", as_index=False)
-                .size().rename(columns={"size": "n"}))
+        return pa.table(
+            {"digit": vc.astype("U20").astype("U1").astype(np.int64)})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    m = parts.groupby("digit", as_index=False).agg(n=("n", "sum"))
-    m = _pysum_cols(m, ["n"])
+    m = _group_sums(ds, ["digit"], terms).rename(columns={"n_rows": "n"})
     total = sum(int(v) for v in m["n"])
     if total == 0:
         return pd.DataFrame({c: pd.Series([], dtype="int64")
@@ -9319,8 +8857,7 @@ def q_nation_customer_hhi(sf_dir: str):
     nb = auto_buckets(orders)
 
     def order_partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["o_totalprice"].to_numpy() * 100).astype(
-            "int64")
+        cents = _cents(b["o_totalprice"].to_numpy()).to_numpy()
         g = (pd.DataFrame({"k": b["o_custkey"].to_numpy(dtype=np.int64),
                            "cents": cents})
              .groupby("k", as_index=False)["cents"].sum())
@@ -9348,53 +8885,41 @@ def q_nation_customer_hhi(sf_dir: str):
         # every partial term is < 2^32 (group sums safe to 2^31 rows);
         # the driver recombines in Python ints
         s2 = s * s
-        d = pd.DataFrame({"nk": m["nk"].to_numpy(dtype=np.int64),
-                          "s": s, "s2h": s2 >> 31,
-                          "s2l": s2 & ((1 << 31) - 1)})
-        out = d.groupby("nk", as_index=False).agg(
-            s=("s", "sum"), s2h=("s2h", "sum"), s2l=("s2l", "sum"),
-            n_customers=("s", "size"))
-        return out
+        return pd.DataFrame({"nk": m["nk"].to_numpy(dtype=np.int64),
+                             "s": s, "s2h": s2 >> 31,
+                             "s2l": s2 & ((1 << 31) - 1)})
 
-    parts = bucket_group_map(
+    parts = _group_sums(bucket_group_map(
         orders.map_batches(order_partial, batch_format="pandas")
         .union(cust.map_batches(cust_rows, batch_format="pandas")),
         key_buckets("k", nb), per_bucket,
-    ).to_pandas()
-    parts = _pysum_cols(parts, ["s", "s2h", "s2l"])
+    ), ["nk"], lambda b: b)
     rows = []
-    for nk, g in parts.groupby("nk"):
-        t = sum(g["s"])
-        ss2 = (sum(g["s2h"]) << 31) + sum(g["s2l"])
-        hhi = _h2d(ss2) / _h2d(t * t)
-        rows.append((int(nk), int(g["n_customers"].sum()), hhi))
+    for g in parts.itertuples(index=False):
+        t, s2h, s2l = int(g.s), int(g.s2h), int(g.s2l)
+        hhi = _h2d((s2h << 31) + s2l) / _h2d(t * t)
+        rows.append((int(g.nk), int(g.n_rows), hhi))
     return (pd.DataFrame(rows, columns=["c_nationkey", "n_customers",
                                         "hhi"])
-            .astype({"c_nationkey": "int64", "n_customers": "int64"})
-            .sort_values("c_nationkey").reset_index(drop=True))
+            .astype({"c_nationkey": "int64", "n_customers": "int64"}))
 
 
 def _daily_cents(sf_dir: str) -> pd.DataFrame:
     """Exact-cents day totals of events.value over the observed-day
     axis — the shared decomposable front half of the day-series family
     (SES forecast, autocorrelation). Returns a day-sorted frame with
-    Python-int ``xc`` (``_pysum_cols`` merged)."""
+    exact ``xc`` (merged by :func:`_group_sums`)."""
     import numpy as np
 
     us_per_day = np.int64(86_400_000_000)
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["ts", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        day = (b["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-               // us_per_day)
-        cents = np.round(b["value"].to_numpy() * 100).astype("int64")
-        return (pd.DataFrame({"day": day, "xc": cents})
-                .groupby("day", as_index=False)["xc"].sum())
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    m = parts.groupby("day", as_index=False).agg(xc=("xc", "sum"))
-    return _pysum_cols(m, ["xc"]).sort_values("day")
+    m = _group_sums(ds, ["day"], lambda b: pa.table({
+        "day": b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+        // us_per_day,
+        "xc": _cents(b["value"])}))
+    return m.drop(columns="n_rows")
 
 
 def q_events_ses(sf_dir: str):
@@ -9556,20 +9081,19 @@ def q_docs_source_kl(sf_dir: str):
     n64 = sum(ct.values())
     term_set = set(terms)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def tokens(b: pa.Table) -> pa.Table:
+        """One ``(source, term)`` row per top-64 token occurrence."""
+        b = b.to_pandas()
         text = b["text"].fillna("").str.strip().str.lower()
         d = pd.DataFrame({"source": b["source"], "toks": text.str.split()})
         d = d[text != ""]
         e = d.explode("toks")
         e = e[e["toks"].isin(term_set)]
-        out = (e.groupby(["source", "toks"], as_index=False)
-               .size().rename(columns={"size": "c", "toks": "term"}))
-        return out
+        return pa.table({"source": pa.array(e["source"], pa.string()),
+                         "term": pa.array(e["toks"], pa.string())})
 
-    parts = docs.map_batches(partial, batch_format="pandas").to_pandas()
-    cells = (parts.groupby(["source", "term"], as_index=False)
-             .agg(c=("c", "sum")))
-    cells = _pysum_cols(cells, ["c"])
+    cells = _group_sums(docs, ["source", "term"], tokens).rename(
+        columns={"n_rows": "c"})
     rows = []
     for source, g in cells.groupby("source"):
         ns = sum(g["c"])
@@ -9643,13 +9167,10 @@ def q_events_type_overlap(sf_dir: str):
         return pd.DataFrame(rows, columns=["i", "j", "n_both",
                                            "n_either"])
 
-    parts = bucket_group_map(
+    m = _group_sums(bucket_group_map(
         ds.map_batches(partial, batch_format="pandas"),
         key_buckets("user_id", nb), per_bucket,
-    ).to_pandas()
-    m = (parts.groupby(["i", "j"], as_index=False)
-         .agg(n_both=("n_both", "sum"), n_either=("n_either", "sum")))
-    m = _pysum_cols(m, ["n_both", "n_either"])
+    ), ["i", "j"], lambda b: b)
     rows = []
     for _, row in m.iterrows():
         i, j = int(row["i"]), int(row["j"])
@@ -9670,7 +9191,7 @@ def q_part_trimmed_mean(sf_dir: str):
     retail prices live in a bounded cent domain, so the histogram is
     bounded regardless of row count (the scale story for bounded-
     domain columns; unbounded domains take the two-pass selection
-    path instead — see `_selection_quantiles`). The driver cumsums
+    path instead — see `_selection_quantiles_multi`). The driver cumsums
     each brand's histogram to locate the discrete p10/p90 boundaries
     (sorted[ceil(q·n)−1], the lineitem_price_quantiles convention),
     sums kept cents exactly in Python ints, and emits ONE mirrored
@@ -9682,17 +9203,9 @@ def q_part_trimmed_mean(sf_dir: str):
     ds = ray.data.read_parquet(
         _t(sf_dir, "part"), columns=["p_brand", "p_retailprice"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["p_retailprice"].to_numpy() * 100).astype(
-            "int64")
-        return (pd.DataFrame({"p_brand": b["p_brand"], "cents": cents})
-                .groupby(["p_brand", "cents"], as_index=False)
-                .size().rename(columns={"size": "n"}))
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    hist = (parts.groupby(["p_brand", "cents"], as_index=False)
-            .agg(n=("n", "sum")))
-    hist = _pysum_cols(hist, ["n"])
+    hist = _group_sums(ds, ["p_brand", "cents"], lambda b: pa.table({
+        "p_brand": b["p_brand"], "cents": _cents(b["p_retailprice"])})
+    ).rename(columns={"n_rows": "n"})
     rows = []
     for brand, g in hist.groupby("p_brand"):
         g = g.sort_values("cents")
@@ -9755,16 +9268,10 @@ def q_events_interarrival(sf_dir: str):
     gaps = checkpoint(
         bucket_group_map(ds, key_buckets("user_id", nb), per_bucket))
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby("event_type", as_index=False)
-                .size().rename(columns={"size": "n"}))
-
-    counts = (gaps.map_batches(count_partial, batch_format="pandas")
-              .to_pandas().groupby("event_type", as_index=False)
-              .agg(n=("n", "sum")))
-    counts = _pysum_cols(counts, ["n"])
+    counts = _group_sums(gaps, ["event_type"],
+                         lambda b: b.select(["event_type"]))
     n_by_type = {t: int(v) for t, v in zip(counts["event_type"],
-                                           counts["n"])}
+                                           counts["n_rows"])}
     types = sorted(t for t, n in n_by_type.items() if n > 0)
     if not types:
         return pd.DataFrame({
@@ -9775,9 +9282,9 @@ def q_events_interarrival(sf_dir: str):
         })
 
     def extractor(t):
-        def to_int(b: pd.DataFrame) -> np.ndarray:
-            return b[b["event_type"] == t]["gap_sec"].to_numpy(
-                dtype=np.int64)
+        def to_int(b: pa.Table) -> np.ndarray:
+            return b.filter(pc.equal(b["event_type"], t))["gap_sec"] \
+                .to_numpy().astype(np.int64)
         return to_int
 
     qres, _ = _selection_quantiles_multi(
@@ -9862,7 +9369,7 @@ def _two_sample_rank_buckets(sf_dir: str, type_a: str, type_b: str):
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         t = b["event_type"].to_numpy()
         m = (t == type_a) | (t == type_b)
-        v = np.round(b["value"].to_numpy()[m] * 100).astype(np.int64)
+        v = _cents(b["value"].to_numpy()[m]).to_numpy()
         is1 = (t[m] == type_a).astype(np.int64)
         return (pd.DataFrame({"v": v, "d1": is1, "d2": 1 - is1})
                 .groupby("v", as_index=False)
@@ -10031,7 +9538,7 @@ def _hour_value_cell_buckets(sf_dir: str):
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         h = b["ts"].dt.hour.to_numpy(dtype=np.int64)
-        v = np.round(b["value"].to_numpy() * 100).astype(np.int64)
+        v = _cents(b["value"].to_numpy()).to_numpy()
         return (pd.DataFrame({"h": h, "v": v})
                 .groupby(["h", "v"], as_index=False).size()
                 .rename(columns={"size": "c"}))
@@ -10235,17 +9742,12 @@ def q_events_hodges_lehmann(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["event_type", "value"])
 
-    hist = (ds.map_batches(_view_purchase_cents, batch_format="pandas")
-            .to_pandas())
+    hist = _group_sums(ds, ["v"], _view_purchase_cents)
     cols = ("n1", "n2", "hl_x2")
     empty = pd.DataFrame({c: pd.Series([], dtype="int64")
                           for c in cols})
     if len(hist) == 0:
         return empty
-    hist = _pysum_cols(hist, ["d1", "d2"])
-    hist = (hist.groupby("v", as_index=False)
-            .agg(d1=("d1", "sum"), d2=("d2", "sum"))
-            .sort_values("v"))
     v = hist["v"].to_numpy(dtype=np.int64)
     c1 = np.array([int(x) for x in hist["d1"]], dtype=np.int64)
     c2 = np.array([int(x) for x in hist["d2"]], dtype=np.int64)
@@ -10302,22 +9804,14 @@ def q_audit_k_anonymity(sf_dir: str):
     ds = ray.data.read_parquet(
         _t(sf_dir, "customer"), columns=["c_nationkey", "c_mktsegment"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby(["c_nationkey", "c_mktsegment"],
-                          as_index=False)
-                .size().rename(columns={"size": "n"}))
-
-    cells = (ds.map_batches(partial, batch_format="pandas")
-             .to_pandas())
+    cells = _group_sums(ds, ["c_nationkey", "c_mktsegment"], lambda b: b)
     out_rows = []
     if len(cells) == 0:
         # the oracle's level-2 COUNT(*) over an empty table still
         # yields one (empty, sub-k) equivalence class — mirror it
         out_rows.append((2, 1, 1, 0))
     else:
-        cells = _pysum_cols(cells, ["n"])
-        cells = (cells.groupby(["c_nationkey", "c_mktsegment"],
-                               as_index=False).agg(n=("n", "sum")))
+        cells = cells.rename(columns={"n_rows": "n"})
         levels = [
             (0, ["c_nationkey", "c_mktsegment"]),
             (1, ["c_nationkey"]),
@@ -10358,17 +9852,12 @@ def q_events_quantile_map(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["event_type", "value"])
 
-    hist = (ds.map_batches(_view_purchase_cents, batch_format="pandas")
-            .to_pandas())
+    hist = _group_sums(ds, ["v"], _view_purchase_cents)
     cols = ("v", "n", "r", "mapped")
     empty = pd.DataFrame({c: pd.Series([], dtype="int64")
                           for c in cols})
     if len(hist) == 0:
         return empty
-    hist = _pysum_cols(hist, ["d1", "d2"])
-    hist = (hist.groupby("v", as_index=False)
-            .agg(d1=("d1", "sum"), d2=("d2", "sum"))
-            .sort_values("v"))
     v = hist["v"].to_numpy(dtype=np.int64)
     c1 = np.array([int(x) for x in hist["d1"]], dtype=np.int64)
     c2 = np.array([int(x) for x in hist["d2"]], dtype=np.int64)
@@ -10409,23 +9898,15 @@ def q_events_mutual_info(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["ts", "event_type"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (pd.DataFrame({"h": b["ts"].dt.hour,
-                              "t": b["event_type"]})
-                .groupby(["h", "t"], as_index=False).size()
-                .rename(columns={"size": "c"}))
-
-    cells = (ds.map_batches(partial, batch_format="pandas")
-             .to_pandas())
+    cells = _group_sums(ds, ["h", "t"], lambda b: pa.table({
+        "h": pc.cast(pc.hour(b["ts"]), pa.int32()),
+        "t": b["event_type"]})).rename(columns={"n_rows": "c"})
     if len(cells) == 0:
         return pd.DataFrame({
             "n": pd.Series([], dtype="int64"),
             "n_cells": pd.Series([], dtype="int64"),
             "mi_scaled": pd.Series([], dtype="int64"),
         })
-    cells = _pysum_cols(cells, ["c"])
-    cells = (cells.groupby(["h", "t"], as_index=False)
-             .agg(c=("c", "sum")))
     rh = {h: sum(int(v) for v in g["c"])
           for h, g in cells.groupby("h")}
     ct = {t: sum(int(v) for v in g["c"])
@@ -10482,26 +9963,19 @@ def q_orders_cohort(sf_dir: str):
             "month_offset": (g["m"].to_numpy(dtype=np.int64)
                              - cm.to_numpy(dtype=np.int64)),
         })
-        # (c, m) distinct => one row per customer per cell
-        return (cells.groupby(["cohort_month", "month_offset"],
-                              as_index=False)
-                .size().rename(columns={"size": "n"}))
+        return cells  # (c, m) distinct => one row per customer per cell
 
-    parts = bucket_group_map(
+    out = _group_sums(bucket_group_map(
         ds.map_batches(partial, batch_format="pandas"),
         key_buckets("c", n_buckets), fold,
-    ).to_pandas()
-    if len(parts) == 0:
+    ), ["cohort_month", "month_offset"], lambda b: b)
+    if len(out) == 0:
         return pd.DataFrame({
             "cohort_month": pd.Series([], dtype="int64"),
             "month_offset": pd.Series([], dtype="int64"),
             "n_customers": pd.Series([], dtype="int64"),
         })
-    parts = _pysum_cols(parts, ["n"])
-    out = (parts.groupby(["cohort_month", "month_offset"],
-                         as_index=False)
-           .agg(n_customers=("n", "sum")))
-    out["n_customers"] = [int(v) for v in out["n_customers"]]
+    out["n_customers"] = [int(v) for v in out.pop("n_rows")]
     return (out.astype({"cohort_month": "int64",
                         "month_offset": "int64",
                         "n_customers": "int64"})
@@ -10537,26 +10011,19 @@ def q_docs_hapax(sf_dir: str, n_buckets: int = 64):
             n_tokens=("c", "sum"))
         return out.reset_index()
 
-    parts = bucket_group_map(
+    out = _group_sums(bucket_group_map(
         docs.map_batches(_source_term_partial, batch_format="pandas"),
         key_buckets("term", n_buckets), fold,
-    ).to_pandas()
-    if len(parts) == 0:
+    ), ["source"], lambda b: b)
+    if len(out) == 0:
         return pd.DataFrame({
             "source": pd.Series([], dtype="object"),
             "vocab": pd.Series([], dtype="int64"),
             "hapax": pd.Series([], dtype="int64"),
             "n_tokens": pd.Series([], dtype="int64"),
         })
-    parts = _pysum_cols(parts, ["vocab", "hapax", "n_tokens"])
-    out = (parts.groupby("source", as_index=False)
-           .agg(vocab=("vocab", "sum"), hapax=("hapax", "sum"),
-                n_tokens=("n_tokens", "sum")))
-    for c in ("vocab", "hapax", "n_tokens"):
-        out[c] = [int(v) for v in out[c]]
-    return (out.astype({"vocab": "int64", "hapax": "int64",
-                        "n_tokens": "int64"})
-            .sort_values("source").reset_index(drop=True))
+    return out.astype({"vocab": "int64", "hapax": "int64",
+                       "n_tokens": "int64"}).drop(columns="n_rows")
 
 
 def q_events_wilcoxon(sf_dir: str):
@@ -10588,8 +10055,7 @@ def q_events_wilcoxon(sf_dir: str):
         t = b["event_type"].to_numpy()
         m = (t == "view") | (t == "purchase")
         u = b["user_id"].to_numpy()[m].astype(np.int64)
-        cents = np.round(b["value"].to_numpy()[m] * 100).astype(
-            np.int64)
+        cents = _cents(b["value"].to_numpy()[m]).to_numpy()
         is_v = (t[m] == "view")
         df = pd.DataFrame({
             "u": u,
@@ -10770,7 +10236,7 @@ def q_events_kruskal(sf_dir: str):
                                columns=["event_type", "value"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.round(b["value"].to_numpy() * 100).astype(np.int64)
+        v = _cents(b["value"].to_numpy()).to_numpy()
         return (pd.DataFrame({"t": b["event_type"], "v": v})
                 .groupby(["t", "v"], as_index=False).size()
                 .rename(columns={"size": "c"}))
@@ -10882,7 +10348,7 @@ def q_events_friedman(sf_dir: str):
         })
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["value"].to_numpy() * 100).astype(np.int64)
+        cents = _cents(b["value"].to_numpy()).to_numpy()
         df = (pd.DataFrame({
             "u": b["user_id"].to_numpy().astype(np.int64),
             "t": b["event_type"], "s": cents,
@@ -10988,24 +10454,19 @@ def q_lineitem_ship_latency(sf_dir: str):
     day_us = np.int64(86_400_000_000)
 
     def lat_for(prio):
-        def to_int(b: pd.DataFrame) -> np.ndarray:
-            m = (b["o_orderpriority"] == prio).to_numpy()
-            s = b["l_shipdate"].to_numpy(
-                dtype="datetime64[us]").astype(np.int64)[m]
-            o = b["o_orderdate"].to_numpy(
-                dtype="datetime64[us]").astype(np.int64)[m]
+        def to_int(b: pa.Table) -> np.ndarray:
+            b = b.filter(pc.equal(b["o_orderpriority"], prio))
+            s = b["l_shipdate"].to_numpy().astype(
+                "datetime64[us]").astype(np.int64)
+            o = b["o_orderdate"].to_numpy().astype(
+                "datetime64[us]").astype(np.int64)
             return (s - o) // day_us
 
         return to_int
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby("o_orderpriority", as_index=False)
-                .size().rename(columns={"size": "n"}))
-
-    counts = (joined.map_batches(count_partial, batch_format="pandas")
-              .to_pandas())
-    counts = _pysum_cols(counts, ["n"])
-    counts = (counts.groupby("o_orderpriority")["n"].sum().to_dict())
+    counts = _group_sums(joined, ["o_orderpriority"],
+                         lambda b: b.select(["o_orderpriority"]))
+    counts = dict(zip(counts["o_orderpriority"], counts["n_rows"]))
     prios = [p for p in prios if counts.get(p, 0)]  # joined rows only
     if not prios:
         return pd.DataFrame({
@@ -11160,7 +10621,20 @@ def q_docs_source_drift(sf_dir: str):
     }).sort_values(["src_a", "src_b"]).reset_index(drop=True)
 
 
-def _floored_f_stat(groups, K=1 << 20):
+def _type_moments(ds, to_x) -> dict:
+    """Exact per-``event_type`` ``(n, Σx, Σx²)`` in Python ints over the
+    int64 ``x = to_x(batch)`` — the inputs of :func:`_floored_f_stat`."""
+    def terms(b: pa.Table) -> pa.Table:
+        x = to_x(b)
+        return pa.table({"event_type": b["event_type"], "s": x,
+                         "q": pc.multiply(x, x)})
+
+    g = _group_sums(ds, ["event_type"], terms)
+    return {et: (int(n), int(s), int(q)) for et, n, s, q
+            in zip(g["event_type"], g["n_rows"], g["s"], g["q"])}
+
+
+def _floored_f_stat(groups, K=STAT_SCALE):
     """Shared exact-integer one-way F construction (ANOVA and
     Brown–Forsythe): ``groups`` is ``[(n_t, s_t, q_t), ...]`` with
     Python-int moments (n, Σx, Σx²) per group. The between/within sums
@@ -11207,25 +10681,10 @@ def q_events_anova(sf_dir: str):
     driver merge. int64 OUTPUT bound: sumsq_cents ≈ 2.4e9/row wraps
     past ~3.8e9 rows per type — guarded with a loud ValueError (the
     internal statistic is unbounded Python int)."""
-    import numpy as np
-
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_type", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.round(b["value"].to_numpy() * 100).astype("int64")
-        d = pd.DataFrame({"event_type": b["event_type"],
-                          "s": v, "q": v * v})
-        out = d.groupby("event_type", as_index=False).agg(
-            s=("s", "sum"), q=("q", "sum"), n=("s", "size"))
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["s", "q", "n"])
-    agg = {}
-    for et, g in parts.groupby("event_type"):
-        agg[et] = (sum(g["n"]), sum(g["s"]), sum(g["q"]))
+    agg = _type_moments(ds, lambda b: _cents(b["value"]))
     df1, df2, f_sc = _floored_f_stat(sorted(agg.values()))
     rows = []
     for et in sorted(agg):
@@ -11266,16 +10725,9 @@ def q_events_levene(sf_dir: str):
     ds = ray.data.read_parquet(
         _t(sf_dir, "events"), columns=["event_type", "value"])
 
-    def cell_partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.round(b["value"].to_numpy() * 100).astype("int64")
-        return (pd.DataFrame({"t": b["event_type"], "v": v})
-                .groupby(["t", "v"], as_index=False).size()
-                .rename(columns={"size": "c"}))
-
-    cells = (ds.map_batches(cell_partial, batch_format="pandas")
-             .to_pandas())
-    cells = _pysum_cols(cells, ["c"])
-    cells = cells.groupby(["t", "v"], as_index=False).agg(c=("c", "sum"))
+    cells = _group_sums(ds, ["t", "v"], lambda b: pa.table({
+        "t": b["event_type"], "v": _cents(b["value"])})).rename(
+        columns={"n_rows": "c"})
     med2 = {}
     for et, g in cells.sort_values("v").groupby("t"):
         cnt = [int(x) for x in g["c"]]
@@ -11292,22 +10744,12 @@ def q_events_levene(sf_dir: str):
             acc += c
         med2[et] = lo + hi
 
-    def z_partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.round(b["value"].to_numpy() * 100).astype("int64")
-        m2 = b["event_type"].map(med2).to_numpy(dtype="int64")
-        z = np.abs(2 * v - m2)
-        d = pd.DataFrame({"event_type": b["event_type"],
-                          "s": z, "q": z * z})
-        out = d.groupby("event_type", as_index=False).agg(
-            s=("s", "sum"), q=("q", "sum"), n=("s", "size"))
-        out["n"] = out["n"].astype("int64")
-        return out
+    def z(b: pa.Table) -> np.ndarray:
+        m2 = pd.Series(b["event_type"].to_numpy()).map(med2)
+        return np.abs(2 * _cents(b["value"]).to_numpy()
+                      - m2.to_numpy(dtype="int64"))
 
-    parts = ds.map_batches(z_partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["s", "q", "n"])
-    agg = {}
-    for et, g in parts.groupby("event_type"):
-        agg[et] = (sum(g["n"]), sum(g["s"]), sum(g["q"]))
+    agg = _type_moments(ds, z)
     df1, df2, w_sc = _floored_f_stat(sorted(agg.values()))
     rows = []
     for et in sorted(agg):
@@ -11330,25 +10772,18 @@ def _daily_cents_by_type(sf_dir: str) -> pd.DataFrame:
     """Per-(event_type, day) exact-cents totals — the typed sibling of
     :func:`_daily_cents`, shared by the Mann–Kendall and Theil–Sen
     trend tests so the day/cents convention is defined ONCE. Returns a
-    merged frame with Python-int ``xc``."""
+    merged frame with exact ``xc`` (:func:`_group_sums`)."""
     import numpy as np
 
     us_per_day = np.int64(86_400_000_000)
     ds = ray.data.read_parquet(_t(sf_dir, "events"),
                                columns=["event_type", "ts", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        day = (b["ts"].to_numpy(dtype="datetime64[us]")
-               .astype(np.int64) // us_per_day)
-        cents = np.round(b["value"].to_numpy() * 100).astype("int64")
-        return (pd.DataFrame({"t": b["event_type"], "day": day,
-                              "xc": cents})
-                .groupby(["t", "day"], as_index=False)["xc"].sum())
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["xc"])
-    return parts.groupby(["t", "day"], as_index=False).agg(
-        xc=("xc", "sum"))
+    return _group_sums(ds, ["t", "day"], lambda b: pa.table({
+        "t": b["event_type"],
+        "day": b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+        // us_per_day,
+        "xc": _cents(b["value"])})).drop(columns="n_rows")
 
 
 def q_events_mann_kendall(sf_dir: str):
@@ -11410,18 +10845,12 @@ def q_part_cramers_v(sf_dir: str):
     ds = ray.data.read_parquet(_t(sf_dir, "part"),
                                columns=["p_brand", "p_type"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby(["p_brand", "p_type"], as_index=False)
-                .size().rename(columns={"size": "c"}))
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = _pysum_cols(parts, ["c"])
-    o = parts.groupby(["p_brand", "p_type"], as_index=False).agg(
-        c=("c", "sum"))
+    o = _group_sums(ds, ["p_brand", "p_type"], lambda b: b).rename(
+        columns={"n_rows": "c"})
     r = {b: sum(g["c"]) for b, g in o.groupby("p_brand")}
     cc = {t: sum(g["c"]) for t, g in o.groupby("p_type")}
     n = sum(int(v) for v in o["c"])
-    K = 1 << 20
+    K = STAT_SCALE
     obs_map = {(b, t): int(v)
                for b, t, v in zip(o["p_brand"], o["p_type"], o["c"])}
     chisq_scaled = 0
@@ -11665,7 +11094,7 @@ def q_embeddings_silhouette(sf_dir: str):
     scalar partials."""
     import numpy as np
 
-    SCALE = np.float64(1 << 20)
+    SCALE = np.float64(EMB_GRID)
     K = np.int64(1 << 10)
 
     ds = ray.data.read_parquet(
@@ -11815,7 +11244,7 @@ def q_customer_lorenz(sf_dir: str):
     nb = auto_buckets(ds)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["o_totalprice"].to_numpy() * 100).astype("int64")
+        cents = _cents(b["o_totalprice"].to_numpy()).to_numpy()
         d = pd.DataFrame({"c": b["o_custkey"].to_numpy(), "v": cents})
         return d.groupby("c", as_index=False)["v"].sum()
 
@@ -12122,18 +11551,16 @@ def q_events_survival(sf_dir: str):
                .groupby(["dur", "ev"], as_index=False)["c"].sum())
         return out
 
-    parts = bucket_group_map(
-        sp, key_buckets("user_id", auto_buckets(ds)), fold).to_pandas()
-    if len(parts) == 0:
+    hist = _group_sums(bucket_group_map(
+        sp, key_buckets("user_id", auto_buckets(ds)), fold),
+        ["dur", "ev"], lambda b: b)
+    if len(hist) == 0:
         return pd.DataFrame({
             "t_day": pd.Series([], dtype="int64"),
             "n_risk": pd.Series([], dtype="int64"),
             "d_event": pd.Series([], dtype="int64"),
             "cum_ls_scaled": pd.Series([], dtype="int64"),
         })
-    parts = _pysum_cols(parts, ["c"])
-    hist = parts.groupby(["dur", "ev"], as_index=False).agg(
-        c=("c", "sum"))
     total = sum(int(v) for v in hist["c"])
     rows, before, cum = [], 0, 0
     for dur in sorted(int(v) for v in hist["dur"].unique()):
@@ -12171,7 +11598,7 @@ def q_embeddings_cv(sf_dir: str, n_folds: int = 5):
     task's closure; scoring emits per-fold scalar partials."""
     import numpy as np
 
-    SCALE = np.float64(1 << 20)
+    SCALE = np.float64(EMB_GRID)
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "embeddings"), columns=["vec_id", "label", "embedding"])
@@ -12329,7 +11756,7 @@ def q_embeddings_twonn(sf_dir: str):
 
     from ..stages.similarity import _batch_matrix
 
-    SCALE = np.float64(1 << 20)
+    SCALE = np.float64(EMB_GRID)
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
@@ -12454,31 +11881,21 @@ def q_docs_source_novelty(sf_dir: str, n: int = 8,
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         m = g.drop_duplicates(["g", "source"])
         ns = m.groupby("g")["source"].transform("size")
-        out = pd.DataFrame({"source": m["source"],
-                            "novel": (ns == 1).astype(np.int64),
-                            "one": 1})
-        return (out.groupby("source", as_index=False)
-                .agg(n_grams=("one", "sum"),
-                     novel_grams=("novel", "sum")))
+        return pd.DataFrame({"source": m["source"],
+                             "novel_grams": (ns == 1).astype(np.int64)})
 
-    parts = bucket_group_map(
+    out = _group_sums(bucket_group_map(
         docs.map_batches(emit, batch_format="pyarrow"),
         key_buckets("g", n_buckets), fold,
-    ).to_pandas()
-    if len(parts) == 0:
+    ), ["source"], lambda b: b)
+    if len(out) == 0:
         return pd.DataFrame({
             "source": pd.Series([], dtype="object"),
             "n_grams": pd.Series([], dtype="int64"),
             "novel_grams": pd.Series([], dtype="int64"),
         })
-    parts = _pysum_cols(parts, ["n_grams", "novel_grams"])
-    out = (parts.groupby("source", as_index=False)
-           .agg(n_grams=("n_grams", "sum"),
-                novel_grams=("novel_grams", "sum")))
-    for c in ("n_grams", "novel_grams"):
-        out[c] = [int(v) for v in out[c]]
-    return (out.astype({"n_grams": "int64", "novel_grams": "int64"})
-            .sort_values("source").reset_index(drop=True))
+    out.insert(1, "n_grams", out.pop("n_rows"))
+    return out.astype({"n_grams": "int64", "novel_grams": "int64"})
 
 
 def q_docs_unigram_entropy(sf_dir: str, n_buckets: int = 64):
@@ -12633,7 +12050,7 @@ def q_embeddings_knn_classifier(sf_dir: str, k: int = 5):
 
     from ..stages.similarity import _batch_matrix
 
-    SCALE = np.float64(1 << 20)
+    SCALE = np.float64(EMB_GRID)
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "embeddings"), columns=["vec_id", "label", "embedding"])
@@ -12759,22 +12176,15 @@ def q_audit_l_diversity(sf_dir: str):
     ds = ray.data.read_parquet(
         _t(sf_dir, "customer"), columns=["c_nationkey", "c_mktsegment"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.groupby(["c_nationkey", "c_mktsegment"],
-                          as_index=False)
-                .size().rename(columns={"size": "c"}))
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    if len(parts) == 0:
+    cells = _group_sums(ds, ["c_nationkey", "c_mktsegment"], lambda b: b)
+    if len(cells) == 0:
         return pd.DataFrame({
             "nation_key": pd.Series([], dtype="int64"),
             "n": pd.Series([], dtype="int64"),
             "l_distinct": pd.Series([], dtype="int64"),
             "h_scaled": pd.Series([], dtype="int64"),
         })
-    parts = _pysum_cols(parts, ["c"])
-    cells = parts.groupby(["c_nationkey", "c_mktsegment"],
-                          as_index=False).agg(c=("c", "sum"))
+    cells = cells.rename(columns={"n_rows": "c"})
     rows = []
     for nk, g in cells.groupby("c_nationkey"):
         cs = [int(v) for v in g["c"]]
@@ -12943,7 +12353,7 @@ def q_embeddings_outliers(sf_dir: str, k: int = 5, top: int = 20):
 
     from ..stages.similarity import _batch_matrix
 
-    SCALE = np.float64(1 << 20)
+    SCALE = np.float64(EMB_GRID)
 
     ds = ray.data.read_parquet(
         _t(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
@@ -13085,7 +12495,7 @@ def q_events_srm(sf_dir: str):
     na = sum(int(v) for v in parts["n_a"])
     nbb = sum(int(v) for v in parts["n_b"])
     n = na + nbb
-    srm = ((na - nbb) * (na - nbb) * (1 << 20)) // n if n else -1
+    srm = ((na - nbb) * (na - nbb) * STAT_SCALE) // n if n else -1
     if srm >= 1 << 62:
         raise ValueError("events_srm int64 output bound exceeded")
     return pd.DataFrame({
@@ -13109,13 +12519,11 @@ def q_part_gini_by_brand(sf_dir: str):
     fold walks distinct VALUES, not rows); gini partials travel as
     decimal strings (v·C crosses int64 at catalog scale), int64
     output guarded loud."""
-    import numpy as np
-
     ds = ray.data.read_parquet(_t(sf_dir, "part"),
                                columns=["p_brand", "p_retailprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["p_retailprice"].to_numpy() * 100).astype("int64")
+        cents = _cents(b["p_retailprice"].to_numpy()).to_numpy()
         return (pd.DataFrame({"brand": b["p_brand"], "v": cents})
                 .groupby(["brand", "v"], as_index=False).size()
                 .rename(columns={"size": "cnt"}))

@@ -48,12 +48,6 @@ from .hashing import token_hashes as _token_hashes
 from .hashing import window_hashes as _window_hashes
 
 
-def add_md5(batch: pa.Table) -> pa.Table:
-    """Vectorized-enough content hash (hashlib.md5 is a C call per row)."""
-    hashes = [hashlib.md5(t.encode()).hexdigest() for t in batch.column("text").to_pylist()]
-    return batch.append_column("text_md5", pa.array(hashes, pa.string()))
-
-
 def exact_dedup(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Keep the first (min doc_id) document per exact content hash.
     Shuffle key is a bucket of the hash (balanced); keep-first is a

@@ -2,8 +2,8 @@
 
 This is the engine's core operator (SURVEY.md §2.2-2.3 fused): each row's
 ``text`` is run through the HTML5 tokenizer+tree-builder and the
-boilerplate extractor. An instance holds only two scalars (the input
-cap and the scripting flag), so the flagship runs it as stateless Ray
+boilerplate extractor. An instance holds only one scalar (the input
+cap), so the flagship runs it as stateless Ray
 Data tasks: the module-level tables (entities, element flags) are built
 once per worker process at import, and Ray reuses its worker processes
 from task to task, so no actor is needed to keep them warm.
@@ -76,10 +76,8 @@ class HtmlExtractUDF:
     plain callable, so ``map_batches(HtmlExtractUDF(), ...)`` runs it as
     tasks."""
 
-    def __init__(self, max_text_chars: int = DEFAULT_MAX_TEXT_CHARS,
-                 scripting: bool = False):
+    def __init__(self, max_text_chars: int = DEFAULT_MAX_TEXT_CHARS):
         self.max_text_chars = max_text_chars
-        self.scripting = scripting
 
     def _extract_raw(self, text: str):
         """Parse + extract one turn → (ExtractionResult, ParseResult,
@@ -94,10 +92,9 @@ class HtmlExtractUDF:
         if len(text) > FEED_THRESHOLD_CHARS:
             from ..html.feed import parse_chunked
 
-            result = parse_chunked(text, FEED_CHUNK_CHARS,
-                                   scripting=self.scripting)
+            result = parse_chunked(text, FEED_CHUNK_CHARS)
         else:
-            result = parse(text, scripting=self.scripting)
+            result = parse(text)
         # metrics.truncated records ANY incomplete-content degradation:
         # input char cap, stack-depth cap, or node-count cap
         truncated = truncated or result.content_capped

@@ -62,6 +62,26 @@ def test_no_bucket_tagger_helper():
     assert "_add_user_bucket" not in names
 
 
+# hand-written partial → pandas → _pysum_cols merges left in
+# relational.py; grouped SUM/COUNT merges go through _group_sums
+PYSUM_MERGES_MAX = 19
+
+
+def test_grouped_sums_go_through_group_sums():
+    tree = ast.parse(RELATIONAL.read_text())
+    helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                  and n.name == "_group_sums")
+    inside = {id(n) for n in ast.walk(helper)}
+    calls = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+             and n.func.id == "_pysum_cols" and id(n) not in inside]
+    assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "_pysum_cols" for n in ast.walk(helper))
+    assert len(calls) <= PYSUM_MERGES_MAX, (
+        "write a grouped SUM/COUNT with _group_sums(ds, keys, terms), "
+        f"not a new _pysum_cols merge (lines {calls})")
+
+
 BLOB_OWNERS = {"stages/exchange.py"}
 IPC_NAMES = {"serialize_table", "deserialize_table"}
 BLOB_COLUMN = "large_binary blob column"

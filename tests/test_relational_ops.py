@@ -1613,6 +1613,26 @@ def test_orders_order_gap_semantics(ray_session, tmp_path):
     assert got.loc[3, "n_gaps"] == 1 and got.loc[3, "median_gap"] == 1.0
 
 
+def test_group_sums_exact_past_int64(ray_session):
+    """_group_sums merges its per-block int64 partials in Python ints:
+    a group whose total passes 2^63 (three blocks of 2^62) comes back
+    exact, n_rows counts rows, rows sort by the keys and a null key
+    drops."""
+    import ray.data
+
+    big = 1 << 62
+    blocks = [pa.table({"k": pa.array(["b", None, "a", "b"]),
+                        "v": pa.array([big - 1, 7, i, 1], pa.int64())})
+              for i in range(3)]
+    ds = ray.data.from_arrow(blocks)
+    assert ds.num_blocks() == 3
+    out = r._group_sums(ds, ["k"], lambda b: b)
+    assert list(out["k"]) == ["a", "b"]
+    assert [int(v) for v in out["v"]] == [0 + 1 + 2, 3 * big]
+    assert 3 * big > (1 << 63)
+    assert [int(v) for v in out["n_rows"]] == [3, 6]
+
+
 def test_selection_quantiles_weighted_bruteforce(ray_session):
     """Weighted distributed selection == brute-force rule (smallest
     value with cumulative weight >= ceil(q*W)) on seeded random data
@@ -1630,10 +1650,11 @@ def test_selection_quantiles_weighted_bruteforce(ray_session):
         w = rng.integers(0, 5, n)
         df = pd.DataFrame({"v": v.astype("int64"), "w": w.astype("int64")})
         ds = ray.data.from_pandas(df).repartition(7)
-        got, total = r._selection_quantiles(
-            ds, lambda b: b["v"].to_numpy(),
+        got, total = r._selection_quantiles_multi(
+            ds, {"v": lambda b: b["v"].to_numpy()},
             {"q25": 0.25, "q5": 0.5, "q9": 0.9},
             to_weight=lambda b: b["w"].to_numpy())
+        got = got["v"]
         assert total == int(w.sum())
         order = np.argsort(v, kind="stable")
         sv, sw = v[order], w[order]
