@@ -12,6 +12,14 @@ natural seam for accumulating per-block statistics without a second DOM
 walk; here the walk is a separate, iterative pass over the finished tree
 (one tree per transcript turn, so the second pass is row-local and cheap).
 
+The parse stage runs this walk with CPython's cyclic GC paused for the
+row (``stages/parse_stage.py``, ``_on_tree``): the tree is cyclic through
+``Node.parent``, and a large one growing under the collector sets off
+full collections that rescan the whole heap. After the row one
+young-generation pass frees the tree, so the rule is: hold no reference
+to the tree past the row. ``ExtractionResult`` carries only strings,
+ints and tuples, never a node.
+
 Everything is deterministic: fixed tag sets, fixed thresholds, stable
 ordering — required for byte-equality across parallel runs
 (BASELINE.json north_rule).

@@ -11,9 +11,22 @@ from task to task, so no actor is needed to keep them warm.
 Batch format is pyarrow end-to-end: zero-copy in, columnar out.
 Parsing is inherently sequential per document, so the per-row loop here is
 the *one* sanctioned Python loop in the hot path (SURVEY.md §1.3).
+
+Every document is parsed by ``_on_tree``, which pauses CPython's cyclic
+GC for the row. A DOM is one big reference cycle (``Node.parent``
+points back up), so while a large tree grows, its surviving nodes get
+promoted and set off full collections that rescan every live tree plus
+the whole worker heap; on ``pages_long`` those took about a third of the
+parse stage. Paused, the row's tree stays young and one
+young-generation pass frees it when the row ends. The rule that makes
+this work: hold no reference to the tree past the row. A walk returns
+only plain values (strings, numbers, tuples), never a node or the
+``ParseResult``.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pyarrow as pa
 
@@ -71,6 +84,38 @@ EXTRACTED_SCHEMA = pa.schema(
 )
 
 
+def _on_tree(text: str, walk):
+    """``walk(result)`` for the ``ParseResult`` of ``text``, with the
+    cyclic GC paused for the row (module docstring). ``walk`` must return
+    nothing that holds the tree: once it returns, the tree is garbage,
+    and one ``gc.collect(0)`` frees it before it is ever promoted. The
+    GC is re-enabled only if it was enabled on entry.
+
+    ``parse``, ``extract_main_content`` (inside the walks) and
+    ``html.feed.parse_chunked`` are looked up by module attribute at call
+    time, not bound here: perfbench/layers.py wraps those three names to
+    time each layer, and its traced run fails if they get no calls."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if len(text) > FEED_THRESHOLD_CHARS:
+            from ..html import feed
+
+            return walk(feed.parse_chunked(text, FEED_CHUNK_CHARS))
+        return walk(parse(text))
+    finally:
+        gc.collect(0)
+        if enabled:
+            gc.enable()
+
+
+def _extract(result):
+    """The parse stage's walk: extraction plus the parse scalars the
+    output row needs (no reference to the tree)."""
+    return (extract_main_content(result.root), result.doc_mode,
+            result.tokens, result.errors, result.content_capped)
+
+
 class HtmlExtractUDF:
     """``HtmlExtractUDF()(batch)`` — the parse stage; an instance is a
     plain callable, so ``map_batches(HtmlExtractUDF(), ...)`` runs it as
@@ -80,8 +125,8 @@ class HtmlExtractUDF:
         self.max_text_chars = max_text_chars
 
     def _extract_raw(self, text: str):
-        """Parse + extract one turn → (ExtractionResult, ParseResult,
-        truncated). Shared by the dict view (extract_one) and the
+        """Parse + extract one turn → (ExtractionResult, doc_mode, tokens,
+        errors, truncated). Shared by the dict view (extract_one) and the
         columnar batch builder (__call__)."""
         truncated = False
         if text is None:
@@ -89,32 +134,25 @@ class HtmlExtractUDF:
         if self.max_text_chars is not None and len(text) > self.max_text_chars:
             text = text[: self.max_text_chars]
             truncated = True
-        if len(text) > FEED_THRESHOLD_CHARS:
-            from ..html.feed import parse_chunked
-
-            result = parse_chunked(text, FEED_CHUNK_CHARS)
-        else:
-            result = parse(text)
+        ext, doc_mode, tokens, errors, capped = _on_tree(text, _extract)
         # metrics.truncated records ANY incomplete-content degradation:
         # input char cap, stack-depth cap, or node-count cap
-        truncated = truncated or result.content_capped
-        ext = extract_main_content(result.root)
-        return ext, result, truncated
+        return ext, doc_mode, tokens, errors, truncated or capped
 
     def extract_one(self, text: str):
         """Parse + extract a single turn; returns a plain dict of fields."""
-        ext, result, truncated = self._extract_raw(text)
+        ext, doc_mode, tokens, errors, truncated = self._extract_raw(text)
         return {
             "extracted_text": ext.text,
             "spans": [
                 {"path": p, "start": s, "end": e, "tag": t}
                 for (p, s, e, t) in ext.spans
             ],
-            "doc_mode": result.doc_mode,
+            "doc_mode": doc_mode,
             "metrics": {
                 "nodes": ext.nodes,
-                "tokens": result.tokens,
-                "parse_errors": result.errors,
+                "tokens": tokens,
+                "parse_errors": errors,
                 "boilerplate_bytes": ext.boilerplate_bytes,
                 "truncated": truncated,
             },
@@ -134,7 +172,7 @@ class HtmlExtractUDF:
         span_offsets = [0]
         paths, starts, ends, tags = [], [], [], []
         for text in texts:
-            ext, result, truncated = self._extract_raw(text)
+            ext, doc_mode, n_tokens, n_errors, truncated = self._extract_raw(text)
             extracted.append(ext.text)
             for (p, s, e, t) in ext.spans:
                 paths.append(p)
@@ -142,10 +180,10 @@ class HtmlExtractUDF:
                 ends.append(e)
                 tags.append(t)
             span_offsets.append(len(paths))
-            doc_modes.append(result.doc_mode)
+            doc_modes.append(doc_mode)
             nodes.append(ext.nodes)
-            tokens.append(result.tokens)
-            errors.append(result.errors)
+            tokens.append(n_tokens)
+            errors.append(n_errors)
             bbytes.append(ext.boilerplate_bytes)
             trunc.append(truncated)
         spans_arr = pa.ListArray.from_arrays(
@@ -203,11 +241,14 @@ class LinkExtractUDF:
         self.max_text_chars = max_text_chars
 
     def _links_of(self, text: str):
+        return _on_tree(text[: self.max_text_chars] if text else "",
+                        self._links_in)
+
+    def _links_in(self, result):
         from ..extract.boilerplate import _norm
-        from ..html import parse
         from ..html.dom import Element, Text
 
-        root = parse(text[: self.max_text_chars] if text else "").root
+        root = result.root
         out = []
         # iterative preorder: children pushed REVERSED so the LIFO pop
         # visits them in document order. Stack entries: (node, bdepth).
@@ -370,11 +411,13 @@ class TableExtractUDF:
     limit)."""
 
     def _rows_of(self, html: str):
+        return _on_tree(html, self._rows_in)
+
+    def _rows_in(self, result):
         from ..html.dom import Element
-        from ..html.parser import parse
         from .structured import element_text
 
-        root = parse(html).root
+        root = result.root
         # first <table> in document order (iterative preorder)
         table = None
         stack = [root]
