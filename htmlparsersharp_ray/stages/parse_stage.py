@@ -30,6 +30,7 @@ import gc
 
 import pyarrow as pa
 
+from ..html import feed
 from ..html.parser import parse
 from ..extract.boilerplate import extract_main_content
 
@@ -99,8 +100,6 @@ def _on_tree(text: str, walk):
     gc.disable()
     try:
         if len(text) > FEED_THRESHOLD_CHARS:
-            from ..html import feed
-
             return walk(feed.parse_chunked(text, FEED_CHUNK_CHARS))
         return walk(parse(text))
     finally:
